@@ -17,8 +17,6 @@ variable (default 0), so one knob reproduces an entire benchmark run.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import random
 import sys
 import time
@@ -26,13 +24,15 @@ from pathlib import Path
 
 import pytest
 
+from repro import knobs
+
 # Make the experiment campaign cache warm across benches in one session:
 # later figures reuse earlier campaigns exactly like the CLI runner does.
 from repro.experiments.config import get_scale
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-REPRO_SEED = int(os.environ.get("REPRO_SEED", "0"))
+REPRO_SEED = knobs.SEED.read()
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +55,7 @@ def _seed_global_rngs():
 
 @pytest.fixture(scope="session")
 def scale():
-    return dataclasses.replace(get_scale(), seed=REPRO_SEED)
+    return get_scale()  # the seed resolves from $REPRO_SEED
 
 
 @pytest.fixture(scope="session")
@@ -98,22 +98,20 @@ def _bench_artifact(request, results_dir, scale):
 
     module = request.module.__name__.rpartition(".")[2]
     name = module.removeprefix("test_bench_")
-    before_stuck = set(campaigns._stuck_cache)
-    before_bridge = set(campaigns._bridge_cache)
+    before = {obs.run_key(p) for p, _ in campaigns.cached_campaigns()}
     t0 = time.perf_counter()
     yield
     wall = time.perf_counter() - t0
 
     registry = obs.MetricsRegistry()
     roster: list[list[str]] = []
-    for key in sorted(set(campaigns._stuck_cache) - before_stuck):
-        registry.merge_snapshot(campaigns._stuck_cache[key].metrics().snapshot())
-        roster.append(["stuck-at", *key])
-    for key in sorted(set(campaigns._bridge_cache) - before_bridge):
-        registry.merge_snapshot(
-            campaigns._bridge_cache[key].metrics().snapshot()
+    for projection, result in campaigns.cached_campaigns():
+        if obs.run_key(projection) in before:
+            continue
+        registry.merge_snapshot(result.metrics().snapshot())
+        roster.append(
+            [projection[field] for field in ("model", "circuit", "routing")]
         )
-        roster.append(["bridging", *key])
     payload = {
         "wall_seconds": wall,
         "campaigns": roster,

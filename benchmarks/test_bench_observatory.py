@@ -30,13 +30,13 @@ import time
 
 import pytest
 
-from repro import obs
+from repro import knobs, obs
 from repro.benchcircuits import get_circuit
 from repro.core.engine import DifferencePropagation
 from repro.experiments import campaigns, runcache
 from repro.experiments.config import get_scale
 from repro.faults.stuck_at import collapsed_checkpoint_faults
-from repro.obs import resource, store
+from repro.obs import resource
 
 #: Acceptance ceiling for the disabled resource-sampler overhead on the
 #: campaign (matches the tracing/progress obs gate).
@@ -125,7 +125,7 @@ def test_disabled_sampler_overhead_c432(benchmark, results_dir):
 def test_ledger_serve_beats_recompute_c432(
     benchmark, results_dir, tmp_path, monkeypatch
 ):
-    monkeypatch.setenv(store.CACHE_ENV, str(tmp_path / "ledger"))
+    monkeypatch.setenv(knobs.CACHE.env, str(tmp_path / "ledger"))
     runcache._LEDGERS.clear()
     scale = dataclasses.replace(get_scale("ci"), cache=True)
 

@@ -117,7 +117,7 @@ def test_parallel_bridging_equivalence_c432(benchmark, scale):
         faults = [
             s.fault
             for s in sample_bridging_faults(
-                circuit, candidates, target, seed=scale.seed
+                circuit, candidates, target, seed=scale.effective_seed()
             )
         ]
     else:

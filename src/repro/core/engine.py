@@ -41,9 +41,9 @@ exactly the same safe point.
 
 from __future__ import annotations
 
-import os
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from repro import knobs
 from repro.bdd.cache import ManagerStats
 from repro.bdd.function import Function
 from repro.bdd.manager import FALSE
@@ -62,20 +62,9 @@ from repro.faults.stuck_at import StuckAtFault
 #: safe even for circuits whose good functions alone exceed it.
 DEFAULT_GC_NODE_LIMIT = 100_000
 
-#: Environment switch for dynamic variable reordering. Engines built
-#: with ``reorder=None`` (the default everywhere, including the verify
-#: sweeps) consult it, so ``REPRO_REORDER=1`` flips a whole run.
-REORDER_ENV = "REPRO_REORDER"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
-
 #: Default live-node growth factor (vs. the post-sift baseline) that
 #: re-triggers sifting at the GC boundary.
 DEFAULT_REORDER_GROWTH = 2.0
-
-
-def env_reorder(environ: Mapping[str, str] = os.environ) -> bool:
-    """True when ``$REPRO_REORDER`` asks for dynamic reordering."""
-    return environ.get(REORDER_ENV, "").strip().lower() not in _FALSEY
 
 
 class DifferencePropagation:
@@ -102,7 +91,9 @@ class DifferencePropagation:
         #: and grows when a sweep finds the store mostly live
         self._gc_threshold = gc_node_limit
         #: dynamic reordering policy: ``None`` defers to $REPRO_REORDER
-        self.reorder = env_reorder() if reorder is None else bool(reorder)
+        #: (engines built that way, the verify sweeps included, all
+        #: follow ``REPRO_REORDER=1``)
+        self.reorder = knobs.REORDER.resolve(reorder)
         self.reorder_growth = reorder_growth
         #: sifting passes this engine triggered / swaps they performed
         self.reorder_runs = 0

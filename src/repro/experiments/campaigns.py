@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from repro import obs
+from repro import knobs, obs
 from repro.bdd.ordering import dfs_fanin_order
 from repro.benchcircuits import get_circuit
 from repro.circuit.netlist import Circuit
@@ -270,10 +270,6 @@ class CampaignResult:
         """Sifting passes triggered, summed over every chunk."""
         return int(self.metrics().counter_value("bdd.reorder.runs"))
 
-    def reorder_swaps(self) -> int:
-        """Adjacent-level swaps performed, summed over every chunk."""
-        return int(self.metrics().counter_value("bdd.reorder.swaps"))
-
     def cache_hit_rate(self) -> float:
         """Aggregate computed-table hit rate across every chunk."""
         return self.metrics().ratio(
@@ -306,9 +302,10 @@ BITPARALLEL_EXHAUSTIVE_LIMIT = 14
 BITPARALLEL_SAMPLE_VECTORS = 1024
 
 _functions_cache: dict[tuple[str, int | None, str], CircuitFunctions] = {}
-_stuck_cache: dict[tuple[str, str, str], CampaignResult] = {}
-_bridge_cache: dict[tuple[str, str, str, str], CampaignResult] = {}
-_bitparallel_cache: dict[tuple[str, str], object] = {}
+#: every campaign this process ran or fetched, keyed by the run key of
+#: its projection (:func:`repro.experiments.runcache.campaign_projection`)
+_campaigns: dict[str, tuple[dict, CampaignResult]] = {}
+_bitparallel_cache: dict[tuple[str, int], object] = {}
 
 
 def circuit_functions(name: str, scale: Scale) -> CircuitFunctions:
@@ -335,10 +332,14 @@ def clear_campaign_caches() -> None:
     from repro.experiments import parallel
 
     _functions_cache.clear()
-    _stuck_cache.clear()
-    _bridge_cache.clear()
+    _campaigns.clear()
     _bitparallel_cache.clear()
     parallel.shutdown_pool()
+
+
+def cached_campaigns() -> list[tuple[dict, CampaignResult]]:
+    """(projection, result) of every memoised campaign, in run order."""
+    return list(_campaigns.values())
 
 
 def telemetry_report() -> list[str]:
@@ -350,13 +351,7 @@ def telemetry_report() -> list[str]:
     computed-table hit rate. Each row is a rendering of the campaign's
     merged :meth:`CampaignResult.metrics` registry.
     """
-    rows: list[tuple[str, str, str, str, CampaignResult]] = []
-    for (name, scale_name, engine), result in sorted(_stuck_cache.items()):
-        rows.append((name, "stuck-at", scale_name, engine, result))
-    for (name, kind, scale_name, engine), result in sorted(
-        _bridge_cache.items()
-    ):
-        rows.append((name, f"bridge/{kind}", scale_name, engine, result))
+    rows = cached_campaigns()
     if not rows:
         return ["campaign telemetry: no campaigns cached in this process"]
     lines = [
@@ -365,10 +360,14 @@ def telemetry_report() -> list[str]:
         f"{'sec':>8} {'peak':>9} {'live':>8} {'reclaimed':>9} {'gc':>4} "
         f"{'rebuilds':>8} {'sifts':>5} {'swaps':>7} {'cache-hit%':>10}",
     ]
-    for name, model, _scale_name, engine, result in rows:
+    for projection, result in rows:
+        model = projection["model"]
+        if projection["bridge_kind"]:
+            model = f"bridge/{projection['bridge_kind']}"
         metrics = result.metrics()
         lines.append(
-            f"{name:<10} {model:<12} {engine:<11} "
+            f"{projection['circuit']:<10} {model:<12} "
+            f"{projection['routing']:<11} "
             f"{int(metrics.counter_value('campaign.results')):>6} "
             f"{metrics.counter_value('campaign.seconds'):>8.2f} "
             f"{int(metrics.gauge_value('bdd.nodes.peak')):>9} "
@@ -383,54 +382,21 @@ def telemetry_report() -> list[str]:
     return lines
 
 
-def _resolve_engine(scale: Scale, engine: str | None) -> str:
-    """The campaign engine for one call: explicit arg, else the scale."""
-    from repro.experiments.config import CAMPAIGN_ENGINES
-
-    resolved = engine if engine is not None else scale.effective_engine()
-    if resolved not in CAMPAIGN_ENGINES:
-        raise KeyError(
-            f"unknown campaign engine {resolved!r}; "
-            f"known: {', '.join(CAMPAIGN_ENGINES)}"
-        )
-    return resolved
-
-
 def _resolve_routing(
     scale: Scale, engine: str | None, mode: str | None
 ) -> str:
     """The chunk-body key one campaign call routes to.
 
-    Sampled mode supersedes the engine choice — its estimator *is* an
-    engine (the bit-parallel kernel driven by the sequential sampler),
-    so ``"sampled"`` acts as the engine key for dispatch, caching and
+    Explicit arguments win over the scale's knobs. Sampled mode
+    supersedes the engine choice — its estimator *is* an engine (the
+    bit-parallel kernel driven by the sequential sampler), so
+    ``"sampled"`` acts as the engine key for dispatch, caching and
     telemetry. Exact mode routes to the resolved exact engine.
     """
-    from repro.experiments.config import CAMPAIGN_MODES
-
-    resolved_mode = mode if mode is not None else scale.effective_mode()
-    if resolved_mode not in CAMPAIGN_MODES:
-        raise KeyError(
-            f"unknown campaign mode {resolved_mode!r}; "
-            f"known: {', '.join(CAMPAIGN_MODES)}"
-        )
-    if resolved_mode == "sampled":
+    mode = knobs.MODE.parse(mode) if mode else scale.effective_mode()
+    if mode == "sampled":
         return "sampled"
-    return _resolve_engine(scale, engine)
-
-
-def _attach_strata(result: CampaignResult, sample) -> CampaignResult:
-    """Label each record with its stratum and pin the sampling plan.
-
-    Runs after the serial/parallel merge, so both executors produce the
-    labels from the same :class:`~repro.sampling.strata
-    .StratifiedSample` — scheduling can never perturb them.
-    """
-    labeled = tuple(
-        dataclasses.replace(record, stratum=label)
-        for record, label in zip(result.results, sample.labels)
-    )
-    return dataclasses.replace(result, results=labeled, strata=sample.plan)
+    return knobs.ENGINE.parse(engine) if engine else scale.effective_engine()
 
 
 def stuck_at_campaign(
@@ -444,41 +410,10 @@ def stuck_at_campaign(
 
     ``workers`` overrides the scale's worker policy for this call,
     ``engine`` its engine policy and ``mode`` its exact/sampled policy;
-    the cache is shared between serial and parallel runs because their
+    the memo is shared between serial and parallel runs because their
     results are identical.
     """
-    from repro.experiments import runcache
-
-    routing = _resolve_routing(scale, engine, mode)
-    key = (name, scale.name, routing)
-    if key in _stuck_cache:
-        return _stuck_cache[key]
-    projection = None
-    if runcache.cache_enabled(scale):
-        projection = runcache.stuck_at_projection(name, scale, routing)
-        served = runcache.fetch(projection)
-        if served is not None:
-            _stuck_cache[key] = served
-            return served
-    circuit = get_circuit(name)
-    faults: Sequence[Fault] = collapsed_checkpoint_faults(circuit)
-    limit = scale.stuck_at_limit(name)
-    sample = None
-    if routing == "sampled":
-        from repro.sampling.strata import stratified_sample
-
-        sample = stratified_sample(circuit, faults, limit, seed=scale.seed)
-        faults = sample.faults
-    elif limit is not None and limit < len(faults):
-        rng = random.Random(scale.seed)
-        faults = sorted(rng.sample(list(faults), limit))
-    result = _dispatch(circuit, name, scale, faults, False, workers, routing)
-    if sample is not None:
-        result = _attach_strata(result, sample)
-    if projection is not None:
-        runcache.record(projection, result)
-    _stuck_cache[key] = result
-    return result
+    return _campaign(name, None, scale, workers, engine, mode)
 
 
 def bridging_campaign(
@@ -496,43 +431,78 @@ def bridging_campaign(
     mode draws through the stratified sampler, which applies the same
     distance weighting inside the bridge stratum.
     """
+    return _campaign(name, kind, scale, workers, engine, mode)
+
+
+def _campaign(
+    name: str,
+    kind: BridgeKind | None,
+    scale: Scale,
+    workers: int | None,
+    engine: str | None,
+    mode: str | None,
+) -> CampaignResult:
+    """The one campaign body (stuck-at when ``kind`` is ``None``).
+
+    The memo, then the run ledger (when on), are consulted under the
+    run key of the campaign's projection before any fault is drawn.
+    """
     from repro.experiments import runcache
 
     routing = _resolve_routing(scale, engine, mode)
-    key = (name, kind.value, scale.name, routing)
-    if key in _bridge_cache:
-        return _bridge_cache[key]
-    projection = None
-    if runcache.cache_enabled(scale):
-        projection = runcache.bridging_projection(name, kind, scale, routing)
-        served = runcache.fetch(projection)
-        if served is not None:
-            _bridge_cache[key] = served
-            return served
-    circuit = get_circuit(name)
-    candidates = list(enumerate_nfbfs(circuit, kind))
-    target = scale.bridging_target(name)
-    sample = None
-    if routing == "sampled":
-        from repro.sampling.strata import stratified_sample
-
-        sample = stratified_sample(
-            circuit, candidates, target, seed=scale.seed
-        )
-        faults: Sequence[Fault] = sample.faults
-    elif target is not None and target < len(candidates):
-        sampled = sample_bridging_faults(
-            circuit, candidates, target, seed=scale.seed
-        )
-        faults = [s.fault for s in sampled]
+    if kind is None:
+        projection = runcache.stuck_at_projection(name, scale, routing)
     else:
-        faults = candidates
-    result = _dispatch(circuit, name, scale, faults, True, workers, routing)
-    if sample is not None:
-        result = _attach_strata(result, sample)
-    if projection is not None:
-        runcache.record(projection, result)
-    _bridge_cache[key] = result
+        projection = runcache.bridging_projection(name, kind, scale, routing)
+    key = obs.run_key(projection)
+    if key in _campaigns:
+        return _campaigns[key][1]
+    use_ledger = runcache.cache_enabled(scale)
+    result = runcache.fetch(projection) if use_ledger else None
+    if result is None:
+        # compute with exactly the knob values the key holds, here and
+        # in every pool worker, whatever their environment says
+        pinned = [k.name for k in knobs.KNOBS if k.affects_results]
+        scale = dataclasses.replace(
+            scale, **{name: projection[name] for name in pinned}
+        )
+        circuit = get_circuit(name)
+        seed = scale.seed
+        if kind is None:
+            faults: Sequence[Fault] = collapsed_checkpoint_faults(circuit)
+            limit = scale.stuck_at_limit(name)
+        else:
+            faults = list(enumerate_nfbfs(circuit, kind))
+            limit = scale.bridging_target(name)
+        sample = None
+        if routing == "sampled":
+            from repro.sampling.strata import stratified_sample
+
+            sample = stratified_sample(circuit, faults, limit, seed=seed)
+            faults = sample.faults
+        elif limit is not None and limit < len(faults):
+            if kind is None:
+                rng = random.Random(seed)
+                faults = sorted(rng.sample(list(faults), limit))
+            else:
+                drawn = sample_bridging_faults(circuit, faults, limit, seed)
+                faults = [s.fault for s in drawn]
+        result = _dispatch(
+            circuit, name, scale, faults, kind is not None, workers, routing
+        )
+        if sample is not None:
+            # label each record with its stratum after the merge, so
+            # scheduling can never perturb the labels
+            labeled = tuple(
+                dataclasses.replace(record, stratum=label)
+                for record, label in zip(result.results, sample.labels)
+            )
+            result = dataclasses.replace(
+                result, results=labeled, strata=sample.plan
+            )
+        if use_ledger:
+            runcache.record(projection, result)
+    _campaigns[key] = (projection, result)
     return result
 
 
@@ -662,22 +632,6 @@ def chunk_metrics(
     return registry
 
 
-def chunk_telemetry(
-    engine: DifferencePropagation,
-    before_manager,
-    before_stats,
-) -> dict[str, int]:
-    """Legacy dict view over :func:`chunk_metrics` (same field names)."""
-    registry = chunk_metrics(engine, before_manager, before_stats)
-    telemetry = {
-        name: int(registry.counter_value(metric))
-        for name, metric in CHUNK_COUNTER_METRICS.items()
-        if name not in ("num_faults", "seconds")
-    }
-    telemetry["live_nodes"] = int(registry.gauge_value("bdd.nodes.live"))
-    return telemetry
-
-
 def store_engine_functions(
     name: str, scale: Scale, engine: DifferencePropagation
 ) -> CircuitFunctions:
@@ -698,12 +652,12 @@ def store_engine_functions(
 
 
 def _bitparallel_simulator(name: str, scale: Scale):
-    """Shared kernel instance per (circuit, scale): exhaustive inside
+    """Shared kernel instance per (circuit, seed): exhaustive inside
     the frontier, a seeded random-pattern sample beyond it."""
     from repro.simulation import packing
     from repro.simulation.bitparallel import BitParallelSimulator
 
-    key = (name, scale.name)
+    key = (name, scale.effective_seed())
     sim = _bitparallel_cache.get(key)
     if sim is None:
         circuit = get_circuit(name)
@@ -711,7 +665,7 @@ def _bitparallel_simulator(name: str, scale: Scale):
             sim = BitParallelSimulator(circuit)
         else:
             words = packing.random_input_words(
-                circuit.inputs, BITPARALLEL_SAMPLE_VECTORS, seed=scale.seed
+                circuit.inputs, BITPARALLEL_SAMPLE_VECTORS, seed=key[1]
             )
             sim = BitParallelSimulator(
                 circuit,

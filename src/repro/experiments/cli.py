@@ -25,21 +25,22 @@ import sys
 import time
 from pathlib import Path
 
-from repro import obs
+from repro import knobs, obs
 
 log = obs.get_logger("repro.experiments")
 
 
-def main(argv: list[str] | None = None) -> int:
-    import os
+#: Knob flags that override a field of the selected scale.
+_SCALE_FLAGS = ("workers", "engine", "mode", "ci_width")
 
+#: Switch flags: each is the same as setting its variable, so pool
+#: workers inherit it; the obs ones also turn their layer on.
+_SWITCH_FLAGS = ("cache", "resource", "reorder", "trace", "progress")
+
+
+def main(argv: list[str] | None = None) -> int:
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.experiments.config import (
-        CAMPAIGN_ENGINES,
-        CAMPAIGN_MODES,
-        SCALES,
-        get_scale,
-    )
+    from repro.experiments.config import KNOB_FIELDS, SCALES, get_scale
 
     obs.configure_logging()
     parser = argparse.ArgumentParser(
@@ -52,62 +53,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="EXPERIMENT",
         help=f"subset to run (default: all of {', '.join(ALL_EXPERIMENTS)})",
     )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(SCALES),
-        default=None,
-        help="fault-set sizing profile (default: $REPRO_SCALE or 'ci')",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for fault campaigns (default: "
-        "$REPRO_WORKERS or serial; tiny circuits stay serial regardless)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=CAMPAIGN_ENGINES,
-        default=None,
-        help="fault-campaign engine (default: $REPRO_ENGINE or 'dp')",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=CAMPAIGN_MODES,
-        default=None,
-        help="campaign mode: exact closed-form analysis or sampled "
-        "Monte-Carlo estimation with confidence intervals "
-        "(default: $REPRO_MODE or 'exact')",
-    )
-    parser.add_argument(
-        "--ci-width",
-        type=float,
-        default=None,
-        metavar="W",
-        help="sampled mode's target CI half-width per fault "
-        "(default: $REPRO_CI_WIDTH or 0.05)",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="consult/record the content-addressed run ledger "
-        "(results/ledger/) so byte-identical re-runs are served without "
-        "any fault simulation (same as REPRO_CACHE=1)",
-    )
-    parser.add_argument(
-        "--resource",
-        action="store_true",
-        help="sample RSS and BDD-node time-series while campaigns run "
-        "(same as REPRO_RESOURCE=1); series land in the per-experiment "
-        "JSON manifests",
-    )
-    parser.add_argument(
-        "--reorder",
-        action="store_true",
-        help="dynamic OBDD variable reordering (Rudell sifting) in the "
-        "DP engine (same as REPRO_REORDER=1); never changes results, "
-        "only memory/runtime",
+    knobs.add_flags(
+        parser,
+        "scale",
+        *_SCALE_FLAGS,
+        "cache",
+        "resource",
+        "reorder",
+        scale=sorted(SCALES),
     )
     parser.add_argument(
         "--out",
@@ -127,18 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         help="print per-campaign GC/cache telemetry (live nodes, "
         "reclaimed nodes, cache hit rates) after the run",
     )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="record a span trace of the run (same as REPRO_TRACE=1); "
-        "written as JSONL next to the other artifacts",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="live campaign heartbeats on stderr (same as "
-        "REPRO_PROGRESS=1): faults done/total, throughput, ETA",
-    )
+    knobs.add_flags(parser, "trace", "progress")
     parser.add_argument(
         "--trace-out",
         type=Path,
@@ -161,48 +103,18 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 
-    scale = get_scale(args.scale)
-    if args.workers is not None:
-        scale = dataclasses.replace(scale, workers=args.workers)
-    if args.engine is not None:
-        scale = dataclasses.replace(scale, engine=args.engine)
-    if args.mode is not None:
-        scale = dataclasses.replace(scale, mode=args.mode)
-        # Propagate through the environment too: pool workers consult
-        # $REPRO_MODE when their spec's scale defers to it.
-        os.environ["REPRO_MODE"] = args.mode
-    if args.ci_width is not None:
-        if not 0.0 < args.ci_width <= 0.5:
-            parser.error(f"--ci-width {args.ci_width} outside (0, 0.5]")
-        scale = dataclasses.replace(scale, ci_width=args.ci_width)
-        os.environ["REPRO_CI_WIDTH"] = repr(args.ci_width)
-    if args.reorder:
-        scale = dataclasses.replace(scale, reorder=True)
-        # Propagate through the environment too: pool workers build
-        # their own engines and consult $REPRO_REORDER directly.
-        os.environ["REPRO_REORDER"] = "1"
-    if args.cache:
-        scale = dataclasses.replace(scale, cache=True)
-        # Keep an explicit ledger path from $REPRO_CACHE if one is set.
-        os.environ.setdefault("REPRO_CACHE", "1")
-    if args.resource:
-        from repro.obs import resource as resource_mod
-
-        os.environ.setdefault("REPRO_RESOURCE", "1")
-        resource_mod.enable_resource()
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-
-    if args.trace and not obs.tracing_enabled():
-        # Propagate through the environment too: pool workers inherit
-        # it and trace their chunks into the merged payload.
-        os.environ["REPRO_TRACE"] = "1"
+    scale = dataclasses.replace(
+        get_scale(args.scale), **knobs.given(args, *_SCALE_FLAGS)
+    )
+    for name in knobs.given(args, *_SWITCH_FLAGS):
+        knobs.BY_NAME[name].export()
+    if knobs.TRACE.read():
         obs.enable_tracing()
-    tracing = obs.tracing_enabled()
-    if args.progress and not obs.progress_enabled():
-        # Same propagation rule: workers heartbeat their own chunks.
-        os.environ["REPRO_PROGRESS"] = "1"
+    if knobs.PROGRESS.read():
         obs.enable_progress()
+    if knobs.RESOURCE.read():
+        obs.enable_resource()
+    tracing = obs.tracing_enabled()
 
     # Machine-readable artifacts (manifest JSONs, the trace) go to the
     # explicit --out directory, falling back to results/ for traced
@@ -213,17 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     if artifact_dir is not None:
         artifact_dir.mkdir(parents=True, exist_ok=True)
 
+    settings = {name: scale.resolve(name) for name in KNOB_FIELDS}
     log.info(
-        "scale: %s  circuits: %s%s%s%s%s",
+        "scale: %s  circuits: %s  %s  tracing: %s",
         scale.name,
         ", ".join(scale.circuits),
-        f"  workers: {args.workers}" if args.workers else "",
-        f"  engine: {scale.engine}" if scale.engine else "",
-        "  reorder: on" if scale.effective_reorder() else "",
-        "  tracing: on" if tracing else "",
-        f"  mode: sampled (ci±{scale.effective_ci_width()})"
-        if scale.effective_mode() == "sampled"
-        else "",
+        "  ".join(f"{name}: {value}" for name, value in settings.items()),
+        tracing,
     )
     failures = 0
     report: list[str] = [

@@ -16,15 +16,20 @@ are provided:
 
 Select with ``REPRO_SCALE=paper`` in the environment or the ``--scale``
 CLI flag.
+
+The knob fields of a :class:`Scale` (seed, workers, engine, reorder,
+mode, ci_width, pattern_budget, cache) default to ``None``: each then
+resolves through :mod:`repro.knobs` — the explicit field, else its
+``REPRO_*`` variable, else the knob's default.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping
 
-from repro.core.engine import env_reorder
+from repro import knobs
+from repro.knobs import CAMPAIGN_ENGINES, CAMPAIGN_MODES  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,8 @@ class Scale:
     """Fault-set sizing and decomposition policy for one run profile."""
 
     name: str
-    seed: int = 0
+    #: master seed of the fault samples and random patterns
+    seed: int | None = None
     #: circuits covered by the suite-wide figures, in size order
     circuits: tuple[str, ...] = (
         "c17",
@@ -55,38 +61,31 @@ class Scale:
     #: faster on the deep SEC/DED circuit). Ordering never changes any
     #: computed quantity, only runtime.
     orderings: Mapping[str, str] = field(default_factory=dict)
-    #: worker processes for campaign execution; ``None`` defers to the
-    #: ``$REPRO_WORKERS`` environment variable, then serial. Campaigns
-    #: on tiny circuits fall back to serial regardless — results are
+    #: worker processes for campaign execution. Campaigns on tiny
+    #: circuits fall back to serial regardless — results are
     #: bit-identical either way (see ``repro.experiments.parallel``).
     workers: int | None = None
-    #: campaign engine: ``"dp"`` (exact OBDD Δ-propagation, default) or
+    #: campaign engine: ``"dp"`` (exact OBDD Δ-propagation) or
     #: ``"bitparallel"`` (the vectorized kernel — exact on exhaustive
-    #: circuits, sampled beyond them). ``None`` defers to the
-    #: ``$REPRO_ENGINE`` environment variable, then ``"dp"``.
+    #: circuits, sampled beyond them)
     engine: str | None = None
     #: dynamic variable reordering (Rudell sifting) in the DP engine:
     #: an initial sift after the good-function build plus growth-
     #: triggered re-sifts at the GC boundary. Never changes any computed
-    #: quantity, only memory/runtime. ``None`` defers to the
-    #: ``$REPRO_REORDER`` environment variable, then off.
+    #: quantity, only memory/runtime.
     reorder: bool | None = None
-    #: campaign mode: ``"exact"`` (closed-form detectabilities, default)
-    #: or ``"sampled"`` (stratified Monte-Carlo estimation with Wilson
-    #: confidence intervals — see :mod:`repro.sampling`). ``None``
-    #: defers to ``$REPRO_MODE``, then ``"exact"``.
+    #: campaign mode: ``"exact"`` (closed-form detectabilities) or
+    #: ``"sampled"`` (stratified Monte-Carlo estimation with Wilson
+    #: confidence intervals — see :mod:`repro.sampling`)
     mode: str | None = None
-    #: sampled mode's target CI half-width per fault; ``None`` defers
-    #: to ``$REPRO_CI_WIDTH``, then 0.05.
+    #: sampled mode's target CI half-width per fault
     ci_width: float | None = None
-    #: sampled mode's per-fault pattern budget; ``None`` defers to
-    #: ``$REPRO_PATTERN_BUDGET``, then 4096.
+    #: sampled mode's per-fault pattern budget
     pattern_budget: int | None = None
     #: consult the content-addressed run ledger (``results/ledger/``)
-    #: before computing a campaign, and record fresh results into it.
-    #: ``None`` defers to ``$REPRO_CACHE``, then off. A ledger-served
-    #: result is equal to the computed one (exact fractions round
-    #: trip); only the execution telemetry differs.
+    #: before computing a campaign, and record fresh results into it. A
+    #: ledger-served result is equal to the computed one (exact
+    #: fractions round trip); only the execution telemetry differs.
     cache: bool | None = None
 
     def stuck_at_limit(self, circuit: str) -> int | None:
@@ -101,137 +100,40 @@ class Scale:
     def ordering(self, circuit: str) -> str:
         return self.orderings.get(circuit, "declared")
 
+    def resolve(self, knob: str) -> Any:
+        """One knob's value: the explicit field, else its ``REPRO_*``
+        variable, else the knob's default (see :mod:`repro.knobs`)."""
+        return knobs.BY_NAME[knob].resolve(getattr(self, knob))
+
+    def effective_seed(self) -> int:
+        return self.resolve("seed")
+
     def effective_workers(self) -> int:
-        """Requested worker count: explicit field, else ``$REPRO_WORKERS``."""
-        if self.workers is not None:
-            return max(1, self.workers)
-        return env_workers()
+        return self.resolve("workers")
 
     def effective_engine(self) -> str:
-        """Campaign engine: explicit field, else ``$REPRO_ENGINE``."""
-        if self.engine is not None:
-            return self.engine
-        return env_engine()
+        return self.resolve("engine")
 
     def effective_reorder(self) -> bool:
-        """Reordering policy: explicit field, else ``$REPRO_REORDER``."""
-        if self.reorder is not None:
-            return self.reorder
-        return env_reorder()
+        return self.resolve("reorder")
 
     def effective_mode(self) -> str:
-        """Campaign mode: explicit field, else ``$REPRO_MODE``."""
-        if self.mode is not None:
-            return self.mode
-        return env_mode()
+        return self.resolve("mode")
 
     def effective_ci_width(self) -> float:
-        """Target CI half-width: explicit field, else ``$REPRO_CI_WIDTH``."""
-        if self.ci_width is not None:
-            return self.ci_width
-        return env_ci_width()
+        return self.resolve("ci_width")
 
     def effective_pattern_budget(self) -> int:
-        """Pattern budget: explicit field, else ``$REPRO_PATTERN_BUDGET``."""
-        if self.pattern_budget is not None:
-            return max(1, self.pattern_budget)
-        return env_pattern_budget()
+        return self.resolve("pattern_budget")
 
     def effective_cache(self) -> bool:
-        """Run-ledger policy: explicit field, else ``$REPRO_CACHE``."""
-        if self.cache is not None:
-            return self.cache
-        from repro.obs.store import env_cache_enabled
-
-        return env_cache_enabled()
+        return self.resolve("cache")
 
 
-def env_workers() -> int:
-    """Worker count from ``$REPRO_WORKERS`` (unset/invalid → 1, serial)."""
-    raw = os.environ.get("REPRO_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-#: Engines the campaign layer can route to.
-CAMPAIGN_ENGINES = ("dp", "bitparallel")
-
-
-def env_engine() -> str:
-    """Campaign engine from ``$REPRO_ENGINE`` (unset/empty → ``"dp"``)."""
-    raw = os.environ.get("REPRO_ENGINE", "").strip()
-    if not raw:
-        return "dp"
-    if raw not in CAMPAIGN_ENGINES:
-        raise KeyError(
-            f"unknown $REPRO_ENGINE {raw!r}; "
-            f"known: {', '.join(CAMPAIGN_ENGINES)}"
-        )
-    return raw
-
-
-#: Campaign modes the dispatch layer can route to.
-CAMPAIGN_MODES = ("exact", "sampled")
-
-#: Default target CI half-width for sampled campaigns.
-DEFAULT_CI_WIDTH = 0.05
-
-#: Default per-fault pattern budget for sampled campaigns.
-DEFAULT_PATTERN_BUDGET = 4096
-
-
-def env_mode() -> str:
-    """Campaign mode from ``$REPRO_MODE`` (unset/empty → ``"exact"``)."""
-    raw = os.environ.get("REPRO_MODE", "").strip()
-    if not raw:
-        return "exact"
-    if raw not in CAMPAIGN_MODES:
-        raise KeyError(
-            f"unknown $REPRO_MODE {raw!r}; "
-            f"known: {', '.join(CAMPAIGN_MODES)}"
-        )
-    return raw
-
-
-def env_ci_width() -> float:
-    """Target CI half-width from ``$REPRO_CI_WIDTH``.
-
-    Unset/empty falls back to :data:`DEFAULT_CI_WIDTH`; a set but
-    unparsable or out-of-range value raises rather than silently
-    running a campaign at the wrong precision.
-    """
-    raw = os.environ.get("REPRO_CI_WIDTH", "").strip()
-    if not raw:
-        return DEFAULT_CI_WIDTH
-    try:
-        width = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"$REPRO_CI_WIDTH {raw!r} is not a number"
-        ) from None
-    if not 0.0 < width <= 0.5:
-        raise ValueError(
-            f"$REPRO_CI_WIDTH {width} outside (0, 0.5]"
-        )
-    return width
-
-
-def env_pattern_budget() -> int:
-    """Pattern budget from ``$REPRO_PATTERN_BUDGET`` (invalid raises)."""
-    raw = os.environ.get("REPRO_PATTERN_BUDGET", "").strip()
-    if not raw:
-        return DEFAULT_PATTERN_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"$REPRO_PATTERN_BUDGET {raw!r} is not an integer"
-        ) from None
-    if budget < 1:
-        raise ValueError(f"$REPRO_PATTERN_BUDGET {budget} must be positive")
-    return budget
+#: The :class:`Scale` fields that are knobs.
+KNOB_FIELDS = tuple(
+    f.name for f in fields(Scale) if f.name in knobs.BY_NAME
+)
 
 
 SCALES: dict[str, Scale] = {
@@ -269,7 +171,7 @@ SCALES: dict[str, Scale] = {
 def get_scale(name: str | None = None) -> Scale:
     """Resolve a scale by name, falling back to ``$REPRO_SCALE`` then ``ci``."""
     if name is None:
-        name = os.environ.get("REPRO_SCALE", "ci")
+        name = knobs.SCALE.read()
     try:
         return SCALES[name]
     except KeyError:

@@ -38,7 +38,7 @@ def run_ext_multiple(
         singles = collapsed_checkpoint_faults(functions.circuit)
         compaction = compact_test_set(engine, singles)
 
-        rng = random.Random(scale.seed)
+        rng = random.Random(scale.effective_seed())
         pairs: list[MultipleStuckAtFault] = []
         attempts = 0
         while len(pairs) < sample_pairs and attempts < sample_pairs * 20:

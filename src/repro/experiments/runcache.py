@@ -7,20 +7,24 @@ hashed into the run key), how to reduce a finished
 :class:`~repro.experiments.campaigns.CampaignResult` to an exact JSON
 body, and how to rebuild an identical result from that body.
 
-The projection deliberately includes only what changes the computed
-numbers:
+The projection is a campaign's identity — it keys the in-process
+memo of :mod:`repro.experiments.campaigns` as well as the ledger — and
+deliberately includes only what changes the computed numbers:
 
 * circuit name, fault model (and bridge dominance), the resolved
   routing key (``dp`` / ``bitparallel`` / ``sampled``);
-* the master seed and every scale knob that shapes the fault set or
-  the estimator (sample limits, decomposition threshold, variable
-  ordering, sampled-mode precision knobs);
-* the git SHA of the code that computed it.
+* the per-circuit scale fields (sample limits, decomposition
+  threshold, variable ordering);
+* every knob of :mod:`repro.knobs` whose row says ``affects_results``
+  (seed, engine and mode as the routing fixed them, sampled-mode
+  precision), resolved;
+* the :func:`~repro.obs.store.source_digest` of the code that
+  computed it — an uncommitted edit changes the key, no git needed.
 
-Worker count and reordering policy are *excluded*: both are proven
-result-neutral (``tests/test_parallel_campaigns.py``, the reorder
-oracles), so a serial run can serve a later ``--workers 8`` run and
-vice versa.
+Worker count, reordering policy and the ledger switch are *excluded*:
+all are result-neutral (``tests/test_parallel_campaigns.py``, the
+reorder oracles), so a serial run can serve a later ``--workers 8`` run
+and vice versa.
 
 Detectabilities are exact :class:`~fractions.Fraction`\\ s; they round
 trip through the ledger as ``"p/q"`` strings, so a decoded campaign is
@@ -35,6 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
+from repro import knobs
 from repro.benchcircuits import get_circuit
 from repro.experiments.config import Scale
 from repro.faults.bridging import BridgeKind, BridgingFault
@@ -48,7 +53,7 @@ BODY_SCHEMA = "repro.campaign-result/1"
 
 #: Schema tag inside every run-key projection, so a future projection
 #: change (new knob, new model) can never collide with old keys.
-PROJECTION_SCHEMA = "repro.run-key/1"
+PROJECTION_SCHEMA = "repro.run-key/2"
 
 log = get_logger("repro.experiments.runcache")
 
@@ -57,14 +62,12 @@ _LEDGERS: dict[str, _store.RunLedger] = {}
 
 def cache_enabled(scale: Scale | None = None) -> bool:
     """Whether campaigns should consult the ledger for this run."""
-    if scale is not None:
-        return scale.effective_cache()
-    return _store.env_cache_enabled()
+    return knobs.CACHE.resolve(None if scale is None else scale.cache)
 
 
 def ledger() -> _store.RunLedger:
     """The process-wide ledger at the ``$REPRO_CACHE``-resolved root."""
-    root = str(_store.env_ledger_dir())
+    root = str(_store.ledger_dir(knobs.CACHE.raw()))
     if root not in _LEDGERS:
         _LEDGERS[root] = _store.RunLedger(root)
     return _LEDGERS[root]
@@ -91,22 +94,25 @@ def campaign_projection(
     bridge_kind: str | None = None,
 ) -> dict[str, Any]:
     """The normalized, result-determining identity of one campaign."""
+    sampled = routing == "sampled"
     projection: dict[str, Any] = {
         "schema": PROJECTION_SCHEMA,
         "circuit": name,
         "model": model,
         "bridge_kind": bridge_kind,
         "routing": routing,
-        "seed": scale.seed,
+        # the sampled estimator runs on the kernel whatever the engine
+        "engine": None if sampled else routing,
+        "mode": "sampled" if sampled else "exact",
         "stuck_at_limit": scale.stuck_at_limit(name),
         "bridging_target": scale.bridging_target(name),
         "decompose_threshold": scale.decompose_threshold(name),
         "ordering": scale.ordering(name),
-        "git_sha": _store.git_sha_cached(),
+        "code": _store.source_digest(),
     }
-    if routing == "sampled":
-        projection["ci_width"] = scale.effective_ci_width()
-        projection["pattern_budget"] = scale.effective_pattern_budget()
+    for knob in knobs.KNOBS:
+        if knob.affects_results and knob.name not in projection:
+            projection[knob.name] = scale.resolve(knob.name)
     return projection
 
 

@@ -78,7 +78,7 @@ def _direct(manager: BDDManager, gate_type: GateType, operands: list[int]) -> in
 def run_table1(scale: Scale | None = None, trials: int = 200) -> ExperimentResult:
     """Validate and print Table 1."""
     scale = scale or get_scale()
-    rng = random.Random(scale.seed)
+    rng = random.Random(scale.effective_seed())
     manager = BDDManager([f"x{i}" for i in range(6)])
     checked = 0
     failures = 0

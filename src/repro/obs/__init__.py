@@ -1,9 +1,10 @@
 """Unified observability: tracing, metrics, manifests, logging.
 
 The lowest layer of the codebase (it imports nothing from ``repro``
-outside itself), so every other layer — the BDD manager, the
-Difference Propagation engine, the campaign executors, the CLI — can
-instrument itself without cycles:
+outside itself but the dependency-free :mod:`repro.knobs` table), so
+every other layer — the BDD manager, the Difference Propagation
+engine, the campaign executors, the CLI — can instrument itself
+without cycles:
 
 * :mod:`repro.obs.trace` — span tracer (``with obs.span(...)``),
   JSONL export, cross-process capture/absorb. Disabled by default;
@@ -66,8 +67,8 @@ from repro.obs.resource import (
 from repro.obs.store import (
     RunLedger,
     canonical_json,
-    env_cache_enabled,
     run_key,
+    source_digest,
 )
 from repro.obs.progress import (
     NULL_METER,
@@ -86,7 +87,6 @@ from repro.obs.trace import (
     current_location,
     disable_tracing,
     enable_tracing,
-    env_enabled,
     get_tracer,
     render_tree,
     set_tracer,
@@ -122,8 +122,6 @@ __all__ = [
     "enable_progress",
     "enable_resource",
     "enable_tracing",
-    "env_cache_enabled",
-    "env_enabled",
     "get_logger",
     "get_tracer",
     "git_sha",
@@ -141,6 +139,7 @@ __all__ = [
     "resource_sampler",
     "run_key",
     "set_tracer",
+    "source_digest",
     "span",
     "tracing_enabled",
     "write_bench_artifact",

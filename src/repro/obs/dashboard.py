@@ -36,6 +36,7 @@ import time
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro import knobs
 from repro.obs import perf as perf_mod
 from repro.obs import profile as profile_mod
 from repro.obs import store as store_mod
@@ -340,7 +341,8 @@ def _section_ledger(entries: Sequence[Mapping[str, Any]]) -> str:
     if not entries:
         body.append(
             '<p class="empty">No ledger recorded yet — run a campaign '
-            "with <code>--cache</code> / <code>REPRO_CACHE=1</code>.</p>"
+            "with <code>--cache</code> / "
+            f"<code>{knobs.CACHE.env}=1</code>.</p>"
         )
         return "".join(body)
     rows = []
@@ -494,7 +496,8 @@ def _section_resources(found: Sequence[Mapping[str, Any]]) -> str:
     if not found:
         body.append(
             '<p class="empty">No resource series recorded — run with '
-            "<code>--resource</code> / <code>REPRO_RESOURCE=1</code>.</p>"
+            "<code>--resource</code> / "
+            f"<code>{knobs.RESOURCE.env}=1</code>.</p>"
         )
         return "".join(body)
     body.append(

@@ -17,11 +17,10 @@ other stream swappers see log output without any re-configuration.
 from __future__ import annotations
 
 import logging
-import os
 import sys
 import threading
 
-LOG_ENV = "REPRO_LOG"
+from repro import knobs
 
 #: Marker attribute stamped on the handler ``configure_logging``
 #: attaches. Identity checks use this instead of ``isinstance`` so
@@ -53,11 +52,6 @@ class _DynamicStderrHandler(logging.StreamHandler):
         pass
 
 
-def env_level(environ=os.environ) -> int:
-    """Level from ``$REPRO_LOG`` (unset or unknown → info)."""
-    return _LEVELS.get(environ.get(LOG_ENV, "").strip().lower(), logging.INFO)
-
-
 def configure_logging(level: int | str | None = None) -> logging.Logger:
     """Attach one stderr handler to the ``repro`` root logger (idempotent).
 
@@ -71,7 +65,7 @@ def configure_logging(level: int | str | None = None) -> logging.Logger:
         level = _LEVELS[level.lower()]
     root = logging.getLogger("repro")
     with _CONFIGURE_LOCK:
-        root.setLevel(env_level() if level is None else level)
+        root.setLevel(_LEVELS[knobs.LOG.read()] if level is None else level)
         marked = [
             handler
             for handler in root.handlers

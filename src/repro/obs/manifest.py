@@ -22,28 +22,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro import knobs
 from repro.obs.encode import json_safe
 
 SCHEMA = "repro.run-manifest/1"
 
-#: Environment knobs recorded verbatim (when set) — the full set of
-#: switches that can change what a run computes or how it is observed.
-_RECORDED_ENV = (
-    "REPRO_SEED",
-    "REPRO_SCALE",
-    "REPRO_WORKERS",
-    "REPRO_ENGINE",
-    "REPRO_REORDER",
-    "REPRO_MODE",
-    "REPRO_CI_WIDTH",
-    "REPRO_PATTERN_BUDGET",
-    "REPRO_TRACE",
-    "REPRO_LOG",
-    "REPRO_PROGRESS",
-    "REPRO_CACHE",
-    "REPRO_RESOURCE",
-    "HYPOTHESIS_PROFILE",
-)
+#: Variables recorded verbatim (when set) besides every ``REPRO_*`` knob.
+_EXTRA_ENV = ("HYPOTHESIS_PROFILE",)
 
 
 def numpy_version() -> str | None:
@@ -75,6 +60,21 @@ def git_sha() -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
+def _effective(scale: Any, knob: knobs.Knob) -> Any:
+    """A knob's value for the manifest: the scale's resolution, else its
+    own field, else the variable (``None`` when unset or unparsable)."""
+    resolve = getattr(scale, "resolve", None)
+    if callable(resolve):
+        return resolve(knob.name)
+    value = getattr(scale, knob.name, None)
+    if value is not None or not knob.raw():
+        return value
+    try:
+        return knob.read()
+    except (KeyError, ValueError):
+        return None
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance of one run (all fields JSON-safe scalars/sequences)."""
@@ -97,17 +97,12 @@ class RunManifest:
     #: installed numpy version (``None`` without numpy) — kernel-backend
     #: provenance for perf-trajectory comparability
     numpy: str | None = None
-    #: effective campaign engine after ``Scale.engine``/``$REPRO_ENGINE``
-    #: resolution (``None`` when no scale/engine context applies)
+    #: effective knobs: explicit argument, else the scale's field, else
+    #: the ``REPRO_*`` variable, else the knob default (``None`` with
+    #: neither a scale nor the variable; ``ci_width`` only when sampled)
     engine: str | None = None
-    #: effective dynamic-reordering policy after ``Scale.reorder``/
-    #: ``$REPRO_REORDER`` resolution (``None`` when no context applies)
     reorder: bool | None = None
-    #: effective campaign mode after ``Scale.mode``/``$REPRO_MODE``
-    #: resolution (``None`` when no scale/mode context applies)
     mode: str | None = None
-    #: sampled mode's effective target CI half-width (``None`` outside
-    #: sampled-mode context)
     ci_width: float | None = None
     #: resource time-series summary for the run (the dict shape of
     #: :meth:`repro.obs.resource.ResourceSeries.summary`; ``None`` when
@@ -131,55 +126,22 @@ class RunManifest:
     ) -> "RunManifest":
         """Snapshot the current process (pass the run's ``Scale`` if any).
 
-        ``scale`` duck-types on ``name``/``seed``/``circuits`` (and
-        ``effective_engine()`` when present) so the obs layer stays
-        importable from everywhere below ``experiments``. ``engine``
-        overrides the scale's resolution; without either, a bare
-        ``$REPRO_ENGINE`` is recorded verbatim.
+        ``scale`` duck-types on ``name``/``circuits`` and the knob fields
+        (resolved through its ``resolve()`` when present) so the obs
+        layer stays importable from everywhere below ``experiments``.
+        An explicit ``engine``/``reorder``/``mode``/``ci_width`` wins;
+        without a scale, a knob is recorded only when its variable is
+        set and parses.
         """
-        scale_name = getattr(scale, "name", None)
         if engine is None:
-            resolve = getattr(scale, "effective_engine", None)
-            if callable(resolve):
-                engine = resolve()
-            else:
-                engine = os.environ.get("REPRO_ENGINE", "").strip() or None
+            engine = _effective(scale, knobs.ENGINE)
         if reorder is None:
-            resolve = getattr(scale, "effective_reorder", None)
-            if callable(resolve):
-                reorder = resolve()
-            elif "REPRO_REORDER" in os.environ:
-                # same falsey set as core.engine.env_reorder, inlined so
-                # the obs layer stays import-independent of the engine
-                reorder = os.environ["REPRO_REORDER"].strip().lower() not in (
-                    "",
-                    "0",
-                    "false",
-                    "no",
-                    "off",
-                )
+            reorder = _effective(scale, knobs.REORDER)
         if mode is None:
-            resolve = getattr(scale, "effective_mode", None)
-            if callable(resolve):
-                mode = resolve()
-            else:
-                mode = os.environ.get("REPRO_MODE", "").strip() or None
+            mode = _effective(scale, knobs.MODE)
         if ci_width is None and mode == "sampled":
-            resolve = getattr(scale, "effective_ci_width", None)
-            if callable(resolve):
-                ci_width = resolve()
-            else:
-                raw = os.environ.get("REPRO_CI_WIDTH", "").strip()
-                try:
-                    ci_width = float(raw) if raw else None
-                except ValueError:
-                    ci_width = None
-        seed = getattr(scale, "seed", None)
-        if seed is None:
-            try:
-                seed = int(os.environ.get("REPRO_SEED", "0"))
-            except ValueError:
-                seed = 0
+            ci_width = _effective(scale, knobs.CI_WIDTH)
+        seed = _effective(scale, knobs.SEED)
         if circuits is None:
             circuits = tuple(getattr(scale, "circuits", ()) or ())
         return cls(
@@ -188,8 +150,8 @@ class RunManifest:
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
             command=tuple(command if command is not None else sys.argv),
-            seed=seed,
-            scale=scale_name,
+            seed=knobs.SEED.default if seed is None else seed,
+            scale=getattr(scale, "name", None),
             workers=workers,
             git_sha=git_sha(),
             python=sys.version.split()[0],
@@ -200,7 +162,7 @@ class RunManifest:
             wall_seconds=wall_seconds,
             env={
                 name: os.environ[name]
-                for name in _RECORDED_ENV
+                for name in (*(k.env for k in knobs.KNOBS), *_EXTRA_ENV)
                 if name in os.environ
             },
             extra=dict(extra or {}),

@@ -106,11 +106,18 @@ def entry_from_artifact(document: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def append_entry(history_dir: Path | str, entry: Mapping[str, Any]) -> Path:
-    """Append one entry to the bench's trajectory (append-only)."""
+    """Append one entry to the bench's trajectory (append-only).
+
+    Idempotent: an entry equal to one already recorded is skipped, so
+    recording the same artifacts twice leaves one entry each.
+    """
     path = trajectory_path(history_dir, entry["bench"])
+    line = json.dumps(entry, sort_keys=True)
+    if json.loads(line) in load_trajectory(path):
+        return path
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        fh.write(line + "\n")
     return path
 
 

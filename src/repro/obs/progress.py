@@ -31,25 +31,15 @@ implicitly through the logging hierarchy.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Mapping
 
+from repro import knobs
 from repro.obs.logging import get_logger
-
-#: Environment switch: any value other than these enables heartbeats.
-PROGRESS_ENV = "REPRO_PROGRESS"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
 
 #: Default seconds between throttled heartbeats from per-fault ticks.
 DEFAULT_INTERVAL = 1.0
 
 log = get_logger("repro.progress")
-
-
-def env_enabled(environ: Mapping[str, str] = os.environ) -> bool:
-    """True when ``$REPRO_PROGRESS`` asks for heartbeats."""
-    return environ.get(PROGRESS_ENV, "").strip().lower() not in _FALSEY
 
 
 class _NullMeter:
@@ -147,7 +137,7 @@ class ProgressMeter:
 # ----------------------------------------------------------------------
 # Module switch (mirrors trace.py: processes are the parallelism unit)
 # ----------------------------------------------------------------------
-_enabled: bool = env_enabled()
+_enabled: bool = knobs.PROGRESS.read()
 
 
 def progress_enabled() -> bool:

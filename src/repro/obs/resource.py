@@ -36,8 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-RESOURCE_ENV = "REPRO_RESOURCE"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
+from repro import knobs
 
 #: Default seconds between samples. 20 Hz is fine-grained enough to see
 #: GC sawtooths on second-scale campaigns and far too slow to perturb
@@ -261,21 +260,15 @@ class ResourceSampler:
 # ----------------------------------------------------------------------
 # Module switch (mirrors trace.py/progress.py)
 # ----------------------------------------------------------------------
-def env_enabled(environ: Mapping[str, str] = os.environ) -> bool:
-    """True when ``$REPRO_RESOURCE`` asks for sampling."""
-    return environ.get(RESOURCE_ENV, "").strip().lower() not in _FALSEY
-
-
-def env_interval(environ: Mapping[str, str] = os.environ) -> float:
-    """Sampling interval from ``$REPRO_RESOURCE`` (numeric → seconds)."""
-    raw = environ.get(RESOURCE_ENV, "").strip()
+def sample_interval(raw: str) -> float:
+    """Sampling interval from ``$REPRO_RESOURCE``'s text (seconds)."""
     try:
         return max(float(raw), MIN_INTERVAL)
     except ValueError:
         return DEFAULT_INTERVAL
 
 
-_enabled: bool = env_enabled()
+_enabled: bool = knobs.RESOURCE.read()
 
 
 def resource_enabled() -> bool:
@@ -298,6 +291,6 @@ def resource_sampler(
     """A live sampler when resource sampling is on, else the null one."""
     if not _enabled:
         return NULL_SAMPLER
-    return ResourceSampler(
-        interval=env_interval() if interval is None else interval
-    )
+    if interval is None:
+        interval = sample_interval(knobs.RESOURCE.raw())
+    return ResourceSampler(interval=interval)

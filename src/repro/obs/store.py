@@ -3,8 +3,8 @@
 Every campaign (and, later, every service request) can be named by a
 **run key**: the SHA-256 of a canonical JSON projection of its run
 manifest — circuit roster, fault model, engine/mode, seed, the scale
-knobs that shape the fault set, and the git SHA of the code that
-computed it. Two runs with the same key are byte-identical by
+knobs that shape the fault set, and the :func:`source_digest` of the
+code that computed it. Two runs with the same key are byte-identical by
 construction, so their results can be *served* instead of recomputed.
 
 The ledger is a plain directory (default ``results/ledger/``)::
@@ -74,12 +74,7 @@ _GIT_SHA_CACHE: list[str | None] = []
 
 
 def git_sha_cached() -> str | None:
-    """:func:`~repro.obs.manifest.git_sha`, resolved once per process.
-
-    Run-key projections embed the code version; shelling out to git for
-    every campaign would dominate small-circuit runs, and the SHA
-    cannot change under a running process that matters here.
-    """
+    """:func:`~repro.obs.manifest.git_sha`, resolved once per process."""
     if not _GIT_SHA_CACHE:
         from repro.obs.manifest import git_sha
 
@@ -87,12 +82,37 @@ def git_sha_cached() -> str | None:
     return _GIT_SHA_CACHE[0]
 
 
+#: The package whose source is the code identity of every run key.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+_SOURCE_DIGEST: list[str] = []
+
+
+def source_digest() -> str:
+    """SHA-256 over every ``*.py`` file of the package: relative path,
+    length and bytes, in sorted order. Computed once per process.
+
+    The code identity in run keys. Unlike a commit SHA it changes with
+    an uncommitted edit, so an edited tree is never served results the
+    old code computed, and it needs no git.
+    """
+    if not _SOURCE_DIGEST:
+        digest = hashlib.sha256()
+        for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+            data = path.read_bytes()
+            name = path.relative_to(PACKAGE_ROOT).as_posix()
+            digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
+        _SOURCE_DIGEST.append(digest.hexdigest())
+    return _SOURCE_DIGEST[0]
+
+
 def run_key(projection: Mapping[str, Any]) -> str:
     """SHA-256 hex digest of a normalized manifest projection.
 
     The projection must already be *normalized*: include exactly the
     fields that determine the result (circuit roster, fault model,
-    engine/mode, seed, scale knobs, git SHA) and nothing incidental
+    engine/mode, seed, scale knobs, source digest) and nothing incidental
     (hostnames, timestamps, pids). Hash equality then *is* result
     equality.
     """
@@ -348,28 +368,18 @@ class RunLedger:
         )
 
 
-# ----------------------------------------------------------------------
-# Environment switch: $REPRO_CACHE
-# ----------------------------------------------------------------------
-CACHE_ENV = "REPRO_CACHE"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
-_TRUTHY = frozenset(("1", "true", "yes", "on"))
+_SWITCH_WORDS = frozenset(
+    ("", "0", "false", "no", "off", "1", "true", "yes", "on")
+)
 
 
-def env_cache_enabled(environ: Mapping[str, str] = os.environ) -> bool:
-    """True when ``$REPRO_CACHE`` asks campaigns to consult the ledger."""
-    return environ.get(CACHE_ENV, "").strip().lower() not in _FALSEY
+def ledger_dir(raw: str) -> Path:
+    """Ledger root from ``$REPRO_CACHE``'s text.
 
-
-def env_ledger_dir(environ: Mapping[str, str] = os.environ) -> Path:
-    """Ledger root from ``$REPRO_CACHE``.
-
-    Truthy switch values (``1``/``true``/…) select the default
-    ``results/ledger``; any other non-falsey value is taken as an
-    explicit ledger directory path.
+    Switch words (``1``/``true``/``off``/…) select the default
+    ``results/ledger``; any other value is an explicit ledger directory.
     """
-    raw = environ.get(CACHE_ENV, "").strip()
-    if raw.lower() in _TRUTHY or raw.lower() in _FALSEY:
+    if raw.lower() in _SWITCH_WORDS:
         return DEFAULT_LEDGER_DIR
     return Path(raw)
 

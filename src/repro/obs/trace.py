@@ -39,17 +39,8 @@ import os
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro import knobs
 from repro.obs.encode import json_safe
-
-#: Environment switch: any value other than these enables tracing.
-TRACE_ENV = "REPRO_TRACE"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
-
-
-def env_enabled(environ: Mapping[str, str] = os.environ) -> bool:
-    """True when ``$REPRO_TRACE`` asks for tracing."""
-    return environ.get(TRACE_ENV, "").strip().lower() not in _FALSEY
-
 
 class _NoopSpan:
     """The disabled tracer's span: one shared, stateless singleton."""
@@ -252,7 +243,7 @@ class Tracer:
 # this codebase's unit of parallelism)
 # ----------------------------------------------------------------------
 _NULL = NullTracer()
-_active: NullTracer | Tracer = Tracer() if env_enabled() else _NULL
+_active: NullTracer | Tracer = Tracer() if knobs.TRACE.read() else _NULL
 
 
 def get_tracer() -> NullTracer | Tracer:

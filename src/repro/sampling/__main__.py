@@ -28,7 +28,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro import obs
+from repro import knobs, obs
 
 SCHEMA = "repro.sampled-campaign/1"
 
@@ -65,7 +65,7 @@ def campaign_document(entry: str, campaign, scale, elapsed: float) -> dict:
         "source": entry,
         "mode": "sampled",
         "settings": {
-            "seed": scale.seed,
+            "seed": scale.effective_seed(),
             "ci_width": scale.effective_ci_width(),
             "pattern_budget": scale.effective_pattern_budget(),
         },
@@ -79,9 +79,7 @@ def campaign_document(entry: str, campaign, scale, elapsed: float) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import os
-
-    from repro.experiments.config import get_scale
+    from repro.experiments.config import SCALES, get_scale
     from repro.sampling.roster import resolve_roster, roster_display_name
 
     obs.configure_logging()
@@ -96,25 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="CIRCUIT",
         help="built-in benchmark names and/or paths to .bench netlists",
     )
-    parser.add_argument(
-        "--ci-width",
-        type=float,
-        default=None,
-        metavar="W",
-        help="target CI half-width per fault "
-        "(default: $REPRO_CI_WIDTH or 0.05)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-fault pattern budget "
-        "(default: $REPRO_PATTERN_BUDGET or 4096)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="master seed (default: 0)"
-    )
+    knobs.add_flags(parser, "ci_width", "pattern_budget", "seed")
     parser.add_argument(
         "--faults",
         type=int,
@@ -123,18 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         help="stratified stuck-at sample size per circuit "
         "(default: the scale's per-circuit policy, else the full set)",
     )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="base scale profile (default: $REPRO_SCALE or 'ci')",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: $REPRO_WORKERS or serial)",
-    )
+    knobs.add_flags(parser, "scale", "workers", scale=sorted(SCALES))
     parser.add_argument(
         "--out",
         type=Path,
@@ -148,21 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, FileNotFoundError) as exc:
         parser.error(str(exc))
 
-    scale = get_scale(args.scale)
-    scale = dataclasses.replace(scale, mode="sampled")
-    os.environ["REPRO_MODE"] = "sampled"
-    if args.ci_width is not None:
-        if not 0.0 < args.ci_width <= 0.5:
-            parser.error(f"--ci-width {args.ci_width} outside (0, 0.5]")
-        scale = dataclasses.replace(scale, ci_width=args.ci_width)
-        os.environ["REPRO_CI_WIDTH"] = repr(args.ci_width)
-    if args.budget is not None:
-        if args.budget < 1:
-            parser.error(f"--budget {args.budget} must be positive")
-        scale = dataclasses.replace(scale, pattern_budget=args.budget)
-        os.environ["REPRO_PATTERN_BUDGET"] = str(args.budget)
-    if args.seed is not None:
-        scale = dataclasses.replace(scale, seed=args.seed)
+    scale = dataclasses.replace(
+        get_scale(args.scale),
+        mode="sampled",
+        **knobs.given(args, "ci_width", "pattern_budget", "seed", "workers"),
+    )
     if args.faults is not None:
         if args.faults < 1:
             parser.error(f"--faults {args.faults} must be positive")
@@ -181,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     for entry in roster:
         display = roster_display_name(entry)
         start = time.time()
-        campaign = stuck_at_campaign(entry, scale, workers=args.workers)
+        campaign = stuck_at_campaign(entry, scale)
         elapsed = time.time() - start
         document = campaign_document(entry, campaign, scale, elapsed)
         path = args.out / f"{display}_sampled.json"

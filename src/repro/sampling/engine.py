@@ -65,7 +65,7 @@ class SampledSettings:
     def from_scale(cls, scale) -> "SampledSettings":
         """The policy a :class:`~repro.experiments.config.Scale` implies."""
         return cls(
-            seed=scale.seed,
+            seed=scale.effective_seed(),
             ci_width=scale.effective_ci_width(),
             pattern_budget=scale.effective_pattern_budget(),
         )

@@ -27,9 +27,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
+from repro import knobs
 from repro.verify.conformance import ENGINES, SWEEPS, run_conformance
 from repro.verify.metamorphic import (
     DEFAULT_CIRCUITS,
@@ -64,8 +64,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(ENGINES),
         default=None,
         help="restrict the conformance phase to these engines "
-        "(default: all registered; $REPRO_ENGINE adds itself plus the "
-        "dp reference when set)",
+        f"(default: all registered; ${knobs.ENGINE.env} adds itself plus "
+        "the dp reference when set)",
     )
     parser.add_argument(
         "--transforms",
@@ -76,10 +76,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=("exact", "sampled"),
+        choices=knobs.CAMPAIGN_MODES,
         default=None,
         help="campaign mode: 'sampled' adds the sampled-conformance "
-        "phase (default: $REPRO_MODE or 'exact')",
+        f"phase (default: ${knobs.MODE.env} or 'exact')",
     )
     parser.add_argument(
         "--skip-conformance", action="store_true", help="skip phase 1"
@@ -92,19 +92,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    mode = args.mode
-    if mode is None:
-        mode = os.environ.get("REPRO_MODE", "").strip() or "exact"
-    if mode not in ("exact", "sampled"):
-        parser.error(f"unknown mode {mode!r}; known: exact, sampled")
+    try:
+        mode = knobs.MODE.resolve(args.mode)
+    except KeyError as exc:
+        parser.error(exc.args[0])
 
     engines = args.engines
     if engines is None:
-        env_engine = os.environ.get("REPRO_ENGINE", "").strip()
+        # any registered engine, not only the campaign ones
+        env_engine = knobs.ENGINE.raw()
         if env_engine:
             if env_engine not in ENGINES:
                 parser.error(
-                    f"$REPRO_ENGINE={env_engine!r} is not a registered "
+                    f"${knobs.ENGINE.env}={env_engine!r} is not a registered "
                     f"engine (known: {', '.join(sorted(ENGINES))})"
                 )
             # the requested engine plus the dp reference, so the

@@ -27,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd.function import Function
 from repro.bdd.manager import FALSE, TRUE, BDDError, BDDManager, ReorderStats
 from repro.benchcircuits import get_circuit
-from repro.core.engine import DifferencePropagation, env_reorder
+from repro import knobs
+from repro.core.engine import DifferencePropagation
 from repro.core.symbolic import CircuitFunctions
 from repro.faults.stuck_at import collapsed_checkpoint_faults
 from repro.verify import golden
@@ -237,10 +238,10 @@ class TestSift:
 class TestEngineReorder:
     def test_env_reorder_parsing(self):
         for raw in ("1", "true", "yes", "on", "anything"):
-            assert env_reorder({"REPRO_REORDER": raw})
+            assert knobs.REORDER.read({"REPRO_REORDER": raw})
         for raw in ("", "0", "false", "no", "off", " 0 ", "FALSE"):
-            assert not env_reorder({"REPRO_REORDER": raw})
-        assert not env_reorder({})
+            assert not knobs.REORDER.read({"REPRO_REORDER": raw})
+        assert not knobs.REORDER.read({})
 
     def test_constructor_overrides_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_REORDER", "1")
@@ -330,12 +331,18 @@ class TestCampaignReorderTelemetry:
         clear_campaign_caches()
 
     def test_campaign_records_reorder_telemetry(self):
-        from repro.experiments.campaigns import stuck_at_campaign
+        from repro.experiments.campaigns import (
+            clear_campaign_caches,
+            stuck_at_campaign,
+        )
         from repro.experiments.config import Scale
 
         baseline = stuck_at_campaign(
             "c17", Scale(name="reorder-unit-off", circuits=("c17",))
         )
+        # reordering is result-neutral, so the memo would serve the
+        # unsifted campaign; clear it to observe the sifted run
+        clear_campaign_caches()
         sifted = stuck_at_campaign(
             "c17",
             Scale(name="reorder-unit-on", circuits=("c17",), reorder=True),

@@ -22,13 +22,14 @@ from repro.experiments.campaigns import (
 )
 from repro.experiments.config import get_scale
 from repro.faults.bridging import BridgeKind
+from repro import knobs
 from repro.obs import store
 
 
 @pytest.fixture
 def cached_scale(tmp_path, monkeypatch):
     """A ci-scale with the ledger rooted in this test's tmp dir."""
-    monkeypatch.setenv(store.CACHE_ENV, str(tmp_path / "ledger"))
+    monkeypatch.setenv(knobs.CACHE.env, str(tmp_path / "ledger"))
     runcache._LEDGERS.clear()
     clear_campaign_caches()
     yield dataclasses.replace(get_scale("ci"), cache=True)
@@ -171,7 +172,7 @@ def test_round_trip_equal_debug_helper(cached_scale):
 # Switches
 # ----------------------------------------------------------------------
 def test_cache_off_touches_no_ledger(tmp_path, monkeypatch):
-    monkeypatch.setenv(store.CACHE_ENV, str(tmp_path / "ledger"))
+    monkeypatch.setenv(knobs.CACHE.env, str(tmp_path / "ledger"))
     runcache._LEDGERS.clear()
     clear_campaign_caches()
     scale = dataclasses.replace(get_scale("ci"), cache=False)
@@ -182,11 +183,11 @@ def test_cache_off_touches_no_ledger(tmp_path, monkeypatch):
 
 
 def test_scale_cache_flag_overrides_env(monkeypatch):
-    monkeypatch.delenv(store.CACHE_ENV, raising=False)
+    monkeypatch.delenv(knobs.CACHE.env, raising=False)
     assert runcache.cache_enabled(
         dataclasses.replace(get_scale("ci"), cache=True)
     )
-    monkeypatch.setenv(store.CACHE_ENV, "1")
+    monkeypatch.setenv(knobs.CACHE.env, "1")
     assert not runcache.cache_enabled(
         dataclasses.replace(get_scale("ci"), cache=False)
     )

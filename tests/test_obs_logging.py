@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro import knobs
 from repro.obs import logging as obs_logging
 
 
@@ -100,7 +101,7 @@ def test_log_lines_not_duplicated(clean_root, capsys):
 
 
 def test_level_override_and_env(clean_root, monkeypatch):
-    monkeypatch.setenv(obs_logging.LOG_ENV, "debug")
+    monkeypatch.setenv(knobs.LOG.env, "debug")
     root = obs_logging.configure_logging()
     assert root.level == stdlib_logging.DEBUG
     root = obs_logging.configure_logging("warning")

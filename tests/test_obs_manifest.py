@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.obs import bench, manifest
-from repro.obs.logging import configure_logging, env_level, get_logger
+from repro.obs.logging import configure_logging, get_logger
 
 
 # ----------------------------------------------------------------------
@@ -97,14 +97,20 @@ def test_read_bench_artifact_rejects_malformed(tmp_path):
 # Structured logging
 # ----------------------------------------------------------------------
 def test_env_level_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_LOG", raising=False)
-    assert env_level() == logging.INFO
-    monkeypatch.setenv("REPRO_LOG", "debug")
-    assert env_level() == logging.DEBUG
-    monkeypatch.setenv("REPRO_LOG", "WARNING")
-    assert env_level() == logging.WARNING
-    monkeypatch.setenv("REPRO_LOG", "nonsense")
-    assert env_level() == logging.INFO
+    root = logging.getLogger("repro")
+    before = root.level
+    try:
+        monkeypatch.delenv("REPRO_LOG", raising=False)
+        assert configure_logging().level == logging.INFO
+        for raw, level in (
+            ("debug", logging.DEBUG),
+            ("WARNING", logging.WARNING),
+            ("nonsense", logging.INFO),
+        ):
+            monkeypatch.setenv("REPRO_LOG", raw)
+            assert configure_logging().level == level
+    finally:
+        root.setLevel(before)
 
 
 def test_configure_logging_is_idempotent():

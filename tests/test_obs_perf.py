@@ -259,6 +259,18 @@ def test_record_then_check_passes_then_fails_on_regression(tmp_path):
     ) == 1
 
 
+def test_recording_the_same_artifacts_twice_keeps_one_entry(tmp_path):
+    results = tmp_path / "results"
+    history = tmp_path / "history"
+    _write_artifact(results, 1.0)
+    perf.record(results, history)
+    [path] = perf.record(results, history)
+    assert len(perf.load_trajectory(path)) == 1
+    _write_artifact(results, 1.1)  # a fresh run still appends
+    perf.record(results, history)
+    assert len(perf.load_trajectory(path)) == 2
+
+
 def test_check_with_no_baseline_notes_instead_of_failing(tmp_path):
     results = tmp_path / "results"
     _write_artifact(results, 1.0)

@@ -13,7 +13,7 @@ import logging
 
 import pytest
 
-from repro import obs
+from repro import knobs, obs
 from repro.obs import progress as progress_mod
 
 
@@ -93,8 +93,8 @@ def test_null_meter_is_stateless():
      ("1", True), ("true", True), ("yes", True)],
 )
 def test_env_enabled_parsing(value, expect):
-    assert progress_mod.env_enabled({"REPRO_PROGRESS": value}) is expect
-    assert progress_mod.env_enabled({}) is False
+    assert knobs.PROGRESS.read({"REPRO_PROGRESS": value}) is expect
+    assert knobs.PROGRESS.read({}) is False
 
 
 def test_enable_disable_roundtrip():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import knobs
 from repro.obs import resource
 
 
@@ -132,21 +133,15 @@ def test_module_switch(monkeypatch):
     [("", False), ("0", False), ("off", False), ("1", True), ("0.25", True)],
 )
 def test_env_enabled(raw, enabled):
-    assert resource.env_enabled({"REPRO_RESOURCE": raw}) is enabled
+    assert knobs.RESOURCE.read({"REPRO_RESOURCE": raw}) is enabled
 
 
 def test_env_interval():
-    assert resource.env_interval({"REPRO_RESOURCE": "0.25"}) == 0.25
-    assert resource.env_interval({"REPRO_RESOURCE": "1"}) == 1.0
-    assert (
-        resource.env_interval({"REPRO_RESOURCE": "yes"})
-        == resource.DEFAULT_INTERVAL
-    )
+    assert resource.sample_interval("0.25") == 0.25
+    assert resource.sample_interval("1") == 1.0
+    assert resource.sample_interval("yes") == resource.DEFAULT_INTERVAL
     # the busy-loop guard
-    assert (
-        resource.env_interval({"REPRO_RESOURCE": "0.0000001"})
-        == resource.MIN_INTERVAL
-    )
+    assert resource.sample_interval("0.0000001") == resource.MIN_INTERVAL
 
 
 def test_campaign_attaches_series_when_enabled(monkeypatch):

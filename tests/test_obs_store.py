@@ -20,6 +20,7 @@ import sys
 
 import pytest
 
+from repro import knobs
 from repro.obs import store
 
 
@@ -225,12 +226,12 @@ def test_gc_rejects_negative_keep(ledger):
     ],
 )
 def test_env_cache_enabled(raw, enabled):
-    assert store.env_cache_enabled({"REPRO_CACHE": raw}) is enabled
+    assert knobs.CACHE.read({"REPRO_CACHE": raw}) is enabled
 
 
 def test_env_ledger_dir_paths():
     from pathlib import Path
 
-    assert store.env_ledger_dir({"REPRO_CACHE": "1"}) == store.DEFAULT_LEDGER_DIR
-    assert store.env_ledger_dir({}) == store.DEFAULT_LEDGER_DIR
-    assert store.env_ledger_dir({"REPRO_CACHE": "/x/y"}) == Path("/x/y")
+    assert store.ledger_dir("1") == store.DEFAULT_LEDGER_DIR
+    assert store.ledger_dir("") == store.DEFAULT_LEDGER_DIR
+    assert store.ledger_dir("/x/y") == Path("/x/y")

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import knobs, obs
 from repro.obs import trace as trace_mod
 from repro.obs.encode import json_safe
 
@@ -194,8 +194,8 @@ def test_enable_disable_roundtrip():
     [("", False), ("0", False), ("off", False), ("1", True), ("true", True)],
 )
 def test_env_enabled_parsing(value, expect):
-    assert trace_mod.env_enabled({"REPRO_TRACE": value}) is expect
-    assert trace_mod.env_enabled({}) is False
+    assert knobs.TRACE.read({"REPRO_TRACE": value}) is expect
+    assert knobs.TRACE.read({}) is False
 
 
 # ----------------------------------------------------------------------
