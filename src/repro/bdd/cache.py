@@ -8,19 +8,22 @@ age order), and every lookup/store is attributed to its operation tag
 so :meth:`BDDManager.stats <repro.bdd.manager.BDDManager.stats>` can
 report per-op hit/miss/eviction counts.
 
-Garbage collection hooks in through :meth:`OperationCache.invalidate_dead`:
-after a sweep frees node slots, any entry whose operand or result node
-died must be dropped — a freed slot can be reused for a *different*
-node, and a stale entry keyed on the old id would silently return a
-wrong result.
+Garbage collection drops the whole table whenever a sweep frees node
+slots, and counts the dropped entries in
+:attr:`OperationCache.invalidated`: a freed slot can be reused for a
+*different* node, and a stale entry keyed on the old id would silently
+return a wrong result. Selective invalidation is not worth it — on
+Difference Propagation campaigns most entries name a dead
+per-fault difference node by the time a sweep runs.
 
 Dynamic reordering (:meth:`BDDManager.sift
-<repro.bdd.manager.BDDManager.sift>`) cannot invalidate selectively:
-quantifier keys embed level *frozensets* and restrict/compose keys
-embed level ints, all of which change meaning when variables move, and
-even pure node-id keys describe results under the old order. A reorder
-therefore drops the computed table wholesale via
-:meth:`OperationCache.clear` (counters survive; they are cumulative).
+<repro.bdd.manager.BDDManager.sift>`) could not invalidate selectively
+either: quantifier keys embed level *frozensets* and restrict/compose
+keys embed level ints, all of which change meaning when variables move,
+and even pure node-id keys describe results under the old order. Both
+drop the table in place with :meth:`OperationCache.clear` (counters
+survive; they are cumulative), so the manager's apply closures, which
+hold :attr:`OperationCache.data`, stay bound to the live table.
 
 :class:`ManagerStats` is the plain-scalar snapshot of all of this
 (live/allocated nodes, GC totals, cache rates); it is picklable so the
@@ -56,22 +59,6 @@ OP_NAMES: tuple[str, ...] = (
     "compose",
     "restrict",
 )
-
-#: Which key positions hold node ids, per op (position 0 is the tag,
-#: and the cached *value* is always a node). Quantifier keys carry a
-#: level frozenset and restrict/compose carry plain level ints — those
-#: must not be mistaken for node ids during invalidation.
-_NODE_POSITIONS: dict[int, tuple[int, ...]] = {
-    OP_AND: (1, 2),
-    OP_OR: (1, 2),
-    OP_XOR: (1, 2),
-    OP_NOT: (1,),
-    OP_ITE: (1, 2, 3),
-    OP_EXISTS: (1,),
-    OP_FORALL: (1,),
-    OP_COMPOSE: (1, 3),
-    OP_RESTRICT: (1,),
-}
 
 #: Default computed-table bound. Roughly 100 MB of dict at CPython's
 #: per-entry cost — far below what unbounded campaign tables reached.
@@ -129,7 +116,7 @@ class OperationCache:
     The manager's hot apply loops bind :attr:`data`, :attr:`hits` and
     :attr:`misses` directly — a method call per lookup would roughly
     double the cost of the apply recursion — so this class only owns
-    the bounding, eviction, invalidation, and reporting logic.
+    the bounding, eviction and reporting logic.
     """
 
     __slots__ = ("data", "bound", "hits", "misses", "evictions", "invalidated")
@@ -142,7 +129,7 @@ class OperationCache:
         self.hits: list[int] = [0] * NUM_OPS
         self.misses: list[int] = [0] * NUM_OPS
         self.evictions: list[int] = [0] * NUM_OPS
-        #: entries dropped because GC freed one of their nodes
+        #: entries dropped by GC sweeps that freed node slots
         self.invalidated = 0
 
     def __len__(self) -> int:
@@ -166,30 +153,6 @@ class OperationCache:
             del data[key]
             evictions[key[0]] += 1
         return drop
-
-    def invalidate_dead(self, alive: bytearray) -> int:
-        """Drop entries touching nodes that a GC sweep just freed.
-
-        ``alive`` is indexed by node id (truthy = survived the sweep).
-        An entry dies when its result or any operand node died: the
-        freed slot may be reused for a different node, at which point
-        the stale entry's key would collide with a live lookup.
-        """
-        data = self.data
-        positions = _NODE_POSITIONS
-        dead_keys = []
-        for key, result in data.items():
-            if not alive[result]:
-                dead_keys.append(key)
-                continue
-            for p in positions[key[0]]:
-                if not alive[key[p]]:
-                    dead_keys.append(key)
-                    break
-        for key in dead_keys:
-            del data[key]
-        self.invalidated += len(dead_keys)
-        return len(dead_keys)
 
     def clear(self) -> None:
         """Drop every entry (counters are cumulative and survive)."""

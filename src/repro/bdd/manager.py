@@ -19,12 +19,16 @@ register their roots with :meth:`BDDManager.incref` and release them
 with :meth:`BDDManager.decref`. :meth:`BDDManager.gc` mark-sweeps
 everything unreachable from the registered roots onto a free list —
 node ids of live nodes never change — rebuilds the unique table over
-the survivors, and invalidates computed-table and counting-memo
-entries that touch freed slots (a freed slot may be reused for a
-different node, so stale entries would otherwise alias). GC never runs
+the survivors, drops the whole computed table and the counting-memo
+entries of freed slots (a freed slot may be reused for a different
+node, so stale entries would otherwise alias). GC never runs
 implicitly: raw integer handles stay valid until somebody explicitly
 calls :meth:`gc`, which is why the engine only collects between fault
 analyses.
+
+The NOT/AND/OR/XOR recursions are closures over the node arrays and
+tables, built once per manager; GC, sifting and cache eviction mutate
+those tables in place so the closures never need rebinding.
 
 The computed table itself is a size-bounded
 :class:`~repro.bdd.cache.OperationCache` with per-op hit/miss/eviction
@@ -40,7 +44,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.bdd.cache import (
     DEFAULT_CACHE_SIZE,
@@ -159,6 +163,12 @@ class BDDManager:
         self._reorder_runs = 0
         self._reorder_swaps = 0
         self._last_reorder: ReorderStats | None = None
+        # Bound once: GC, sifting and eviction mutate these tables in
+        # place, never replace them, so the closures stay valid.
+        self._mk, self._not, self._and, self._or, self._xor = _apply_closures(
+            self._level, self._low, self._high, self._unique, self._free,
+            self._cache,
+        )
         for name in variables:
             self.add_var(name)
         _MANAGERS.add(self)
@@ -246,27 +256,6 @@ class BDDManager:
         """
         return len(self._level) - len(self._free)
 
-    def _mk(self, level: int, low: int, high: int) -> int:
-        """Find-or-create the node ``(level, low, high)`` (the reduce rules)."""
-        if low == high:
-            return low
-        key = (level, low, high)
-        node = self._unique.get(key)
-        if node is None:
-            free = self._free
-            if free:
-                node = free.pop()
-                self._level[node] = level
-                self._low[node] = low
-                self._high[node] = high
-            else:
-                node = len(self._level)
-                self._level.append(level)
-                self._low.append(low)
-                self._high.append(high)
-            self._unique[key] = node
-        return node
-
     # ------------------------------------------------------------------
     # External references & garbage collection
     # ------------------------------------------------------------------
@@ -311,9 +300,10 @@ class BDDManager:
         Live node ids never change — dead slots go to a free list for
         reuse — so raw handles to live nodes, ``Function`` wrappers,
         and ``CircuitFunctions`` tables all stay valid. The unique
-        table is rebuilt over the survivors, and computed-table /
-        counting-memo entries touching freed slots are invalidated
-        (slot reuse would otherwise alias them onto different nodes).
+        table is rebuilt over the survivors. If any slot was freed, the
+        computed table is dropped (counted in ``cache_invalidations``)
+        and so are the counting-memo entries of freed slots: slot reuse
+        would otherwise alias them onto different nodes.
 
         Never called implicitly: callers holding raw node ints outside
         the root set are safe until *they* decide to collect.
@@ -344,7 +334,9 @@ class BDDManager:
                 stack.append(hi)
         free = self._free
         freed = 0
-        unique: dict[tuple[int, int, int], int] = {}
+        # Rebuilt in place: the apply closures hold this very dict.
+        unique = self._unique
+        unique.clear()
         for u in range(2, len(level)):
             lv = level[u]
             if lv == _FREED:
@@ -355,11 +347,15 @@ class BDDManager:
                 level[u] = _FREED
                 free.append(u)
                 freed += 1
-        self._unique = unique
         self._gc_runs += 1
         if freed:
             self._reclaimed_total += freed
-            self._cache.invalidate_dead(alive)
+            # A freed slot may be reused for a different node, so any
+            # entry naming one would alias; most entries name a dead
+            # node anyway, so the whole table goes.
+            cache = self._cache
+            cache.invalidated += len(cache)
+            cache.clear()
             self._count_memo = {
                 u: count for u, count in self._count_memo.items() if alive[u]
             }
@@ -772,207 +768,28 @@ class BDDManager:
     # ------------------------------------------------------------------
     # Binary / unary operators
     # ------------------------------------------------------------------
+    # The recursions are closures built once per manager by
+    # _apply_closures (see there); these wrappers only add the
+    # between-operation eviction check.
+
     def apply_not(self, f: int) -> int:
         result = self._not(f)
         self._cache.maybe_evict()
         return result
 
-    def _not(self, f: int) -> int:
-        if f == FALSE:
-            return TRUE
-        if f == TRUE:
-            return FALSE
-        key = (_OP_NOT, f)
-        cache = self._cache
-        result = cache.data.get(key)
-        if result is not None:
-            cache.hits[_OP_NOT] += 1
-            return result
-        cache.misses[_OP_NOT] += 1
-        result = self._mk(
-            self._level[f], self._not(self._low[f]), self._not(self._high[f])
-        )
-        cache.data[key] = result
-        # Negation is an involution; prime the reverse entry too.
-        cache.data[(_OP_NOT, result)] = f
-        return result
-
-    # The three workhorse binary operators are written with
-    # closure-local bindings of the node arrays and tables: Difference
-    # Propagation spends nearly all its time here, and dropping the
-    # attribute lookups from the recursion roughly halves the cost.
-
     def apply_and(self, f: int, g: int) -> int:
-        level, low, high = self._level, self._low, self._high
-        cache_obj = self._cache
-        cache, hits, misses = cache_obj.data, cache_obj.hits, cache_obj.misses
-        unique, free = self._unique, self._free
-
-        def rec(f: int, g: int) -> int:
-            if f == g or g == TRUE:
-                return f
-            if f == FALSE or g == FALSE:
-                return FALSE
-            if f == TRUE:
-                return g
-            if f > g:  # commutative: canonicalize the cache key
-                f, g = g, f
-            key = (_OP_AND, f, g)
-            result = cache.get(key)
-            if result is not None:
-                hits[_OP_AND] += 1
-                return result
-            misses[_OP_AND] += 1
-            lf, lg = level[f], level[g]
-            if lf <= lg:
-                top, f0, f1 = lf, low[f], high[f]
-            else:
-                top, f0, f1 = lg, f, f
-            if lg <= lf:
-                g0, g1 = low[g], high[g]
-            else:
-                g0, g1 = g, g
-            r0 = rec(f0, g0)
-            r1 = rec(f1, g1)
-            if r0 == r1:
-                result = r0
-            else:
-                node_key = (top, r0, r1)
-                result = unique.get(node_key)
-                if result is None:
-                    if free:
-                        result = free.pop()
-                        level[result] = top
-                        low[result] = r0
-                        high[result] = r1
-                    else:
-                        result = len(level)
-                        level.append(top)
-                        low.append(r0)
-                        high.append(r1)
-                    unique[node_key] = result
-            cache[key] = result
-            return result
-
-        result = rec(f, g)
-        cache_obj.maybe_evict()
+        result = self._and(f, g)
+        self._cache.maybe_evict()
         return result
 
     def apply_or(self, f: int, g: int) -> int:
-        level, low, high = self._level, self._low, self._high
-        cache_obj = self._cache
-        cache, hits, misses = cache_obj.data, cache_obj.hits, cache_obj.misses
-        unique, free = self._unique, self._free
-
-        def rec(f: int, g: int) -> int:
-            if f == g or g == FALSE:
-                return f
-            if f == TRUE or g == TRUE:
-                return TRUE
-            if f == FALSE:
-                return g
-            if f > g:
-                f, g = g, f
-            key = (_OP_OR, f, g)
-            result = cache.get(key)
-            if result is not None:
-                hits[_OP_OR] += 1
-                return result
-            misses[_OP_OR] += 1
-            lf, lg = level[f], level[g]
-            if lf <= lg:
-                top, f0, f1 = lf, low[f], high[f]
-            else:
-                top, f0, f1 = lg, f, f
-            if lg <= lf:
-                g0, g1 = low[g], high[g]
-            else:
-                g0, g1 = g, g
-            r0 = rec(f0, g0)
-            r1 = rec(f1, g1)
-            if r0 == r1:
-                result = r0
-            else:
-                node_key = (top, r0, r1)
-                result = unique.get(node_key)
-                if result is None:
-                    if free:
-                        result = free.pop()
-                        level[result] = top
-                        low[result] = r0
-                        high[result] = r1
-                    else:
-                        result = len(level)
-                        level.append(top)
-                        low.append(r0)
-                        high.append(r1)
-                    unique[node_key] = result
-            cache[key] = result
-            return result
-
-        result = rec(f, g)
-        cache_obj.maybe_evict()
+        result = self._or(f, g)
+        self._cache.maybe_evict()
         return result
 
     def apply_xor(self, f: int, g: int) -> int:
-        level, low, high = self._level, self._low, self._high
-        cache_obj = self._cache
-        cache, hits, misses = cache_obj.data, cache_obj.hits, cache_obj.misses
-        unique, free = self._unique, self._free
-        apply_not = self._not
-
-        def rec(f: int, g: int) -> int:
-            if f == g:
-                return FALSE
-            if f == FALSE:
-                return g
-            if g == FALSE:
-                return f
-            if f == TRUE:
-                return apply_not(g)
-            if g == TRUE:
-                return apply_not(f)
-            if f > g:
-                f, g = g, f
-            key = (_OP_XOR, f, g)
-            result = cache.get(key)
-            if result is not None:
-                hits[_OP_XOR] += 1
-                return result
-            misses[_OP_XOR] += 1
-            lf, lg = level[f], level[g]
-            if lf <= lg:
-                top, f0, f1 = lf, low[f], high[f]
-            else:
-                top, f0, f1 = lg, f, f
-            if lg <= lf:
-                g0, g1 = low[g], high[g]
-            else:
-                g0, g1 = g, g
-            r0 = rec(f0, g0)
-            r1 = rec(f1, g1)
-            if r0 == r1:
-                result = r0
-            else:
-                node_key = (top, r0, r1)
-                result = unique.get(node_key)
-                if result is None:
-                    if free:
-                        result = free.pop()
-                        level[result] = top
-                        low[result] = r0
-                        high[result] = r1
-                    else:
-                        result = len(level)
-                        level.append(top)
-                        low.append(r0)
-                        high.append(r1)
-                    unique[node_key] = result
-            cache[key] = result
-            return result
-
-        result = rec(f, g)
-        cache_obj.maybe_evict()
+        result = self._xor(f, g)
+        self._cache.maybe_evict()
         return result
 
     def apply_nand(self, f: int, g: int) -> int:
@@ -1247,6 +1064,140 @@ class BDDManager:
     def clear_caches(self) -> None:
         """Drop the computed table (node store and unique table are kept)."""
         self._cache.clear()
+
+
+# ----------------------------------------------------------------------
+# The apply recursions
+# ----------------------------------------------------------------------
+def _apply_closures(
+    level: list[int],
+    low: list[int],
+    high: list[int],
+    unique: dict[tuple[int, int, int], int],
+    free: list[int],
+    cache: OperationCache,
+) -> tuple[Callable[..., int], ...]:
+    """Find-or-create and the NOT/AND/OR/XOR recursions over one store.
+
+    Returns ``(mk, not_, and_, or_, xor_)``. Difference Propagation
+    spends nearly all its time in these, so they read the node arrays
+    and tables from closure cells rather than through ``self`` — that
+    roughly halves the cost of the recursion. They close over the
+    tables only, never the manager, so a manager is freed as soon as
+    its last reference goes (no manager <-> closure cycle). The binary
+    recursions share one body; each op's terminal cases stay inline,
+    picked by flags fixed when the closure is made.
+    """
+    data, hits, misses = cache.data, cache.hits, cache.misses
+
+    def mk(top: int, r0: int, r1: int) -> int:
+        if r0 == r1:
+            return r0
+        key = (top, r0, r1)
+        node = unique.get(key)
+        if node is None:
+            if free:
+                node = free.pop()
+                level[node] = top
+                low[node] = r0
+                high[node] = r1
+            else:
+                node = len(level)
+                level.append(top)
+                low.append(r0)
+                high.append(r1)
+            unique[key] = node
+        return node
+
+    def not_(f: int) -> int:
+        if f == FALSE:
+            return TRUE
+        if f == TRUE:
+            return FALSE
+        key = (_OP_NOT, f)
+        result = data.get(key)
+        if result is not None:
+            hits[_OP_NOT] += 1
+            return result
+        misses[_OP_NOT] += 1
+        result = mk(level[f], not_(low[f]), not_(high[f]))
+        data[key] = result
+        # Negation is an involution; prime the reverse entry too.
+        data[(_OP_NOT, result)] = f
+        return result
+
+    def binary(op: int) -> Callable[[int, int], int]:
+        is_and, is_or = op == _OP_AND, op == _OP_OR
+
+        def rec(f: int, g: int) -> int:
+            if is_and:
+                if f == g or g == TRUE:
+                    return f
+                if f == FALSE or g == FALSE:
+                    return FALSE
+                if f == TRUE:
+                    return g
+            elif is_or:
+                if f == g or g == FALSE:
+                    return f
+                if f == TRUE or g == TRUE:
+                    return TRUE
+                if f == FALSE:
+                    return g
+            else:
+                if f == g:
+                    return FALSE
+                if f == FALSE:
+                    return g
+                if g == FALSE:
+                    return f
+                if f == TRUE:
+                    return not_(g)
+                if g == TRUE:
+                    return not_(f)
+            if f > g:  # commutative: canonicalize the cache key
+                f, g = g, f
+            key = (op, f, g)
+            result = data.get(key)
+            if result is not None:
+                hits[op] += 1
+                return result
+            misses[op] += 1
+            lf, lg = level[f], level[g]
+            if lf <= lg:
+                top, f0, f1 = lf, low[f], high[f]
+            else:
+                top, f0, f1 = lg, f, f
+            if lg <= lf:
+                g0, g1 = low[g], high[g]
+            else:
+                g0, g1 = g, g
+            r0 = rec(f0, g0)
+            r1 = rec(f1, g1)
+            # mk, inlined: a call per miss cost ~10% of a c1908 build
+            if r0 == r1:
+                result = r0
+            else:
+                node_key = (top, r0, r1)
+                result = unique.get(node_key)
+                if result is None:
+                    if free:
+                        result = free.pop()
+                        level[result] = top
+                        low[result] = r0
+                        high[result] = r1
+                    else:
+                        result = len(level)
+                        level.append(top)
+                        low.append(r0)
+                        high.append(r1)
+                    unique[node_key] = result
+            data[key] = result
+            return result
+
+        return rec
+
+    return mk, not_, binary(_OP_AND), binary(_OP_OR), binary(_OP_XOR)
 
 
 # ----------------------------------------------------------------------

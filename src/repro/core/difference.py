@@ -25,7 +25,9 @@ Gates with more fanins are folded as chains of 2-input gates — the
 paper's own remedy for the exponential term count of the general
 *n*-input identity. The fold short-circuits on zero differences
 (selective trace): a chain step whose both differences are the zero
-function contributes nothing and costs nothing.
+function contributes nothing and costs nothing, and a step with one
+zero difference reduces to its single surviving term
+(``f_B·Δf_A``, ``f̄_B·Δf_A`` and the mirror cases).
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ TABLE1: tuple[tuple[str, str], ...] = (
 
 def and_difference(m: BDDManager, fa: int, fb: int, da: int, db: int) -> int:
     """Δ output of a 2-input AND (or NAND)."""
-    if da == FALSE and db == FALSE:
-        return FALSE
+    if db == FALSE:
+        return FALSE if da == FALSE else m.apply_and(fb, da)
+    if da == FALSE:
+        return m.apply_and(fa, db)
     term1 = m.apply_and(fa, db)
     term2 = m.apply_and(fb, da)
     term3 = m.apply_and(da, db)
@@ -56,8 +60,10 @@ def and_difference(m: BDDManager, fa: int, fb: int, da: int, db: int) -> int:
 
 def or_difference(m: BDDManager, fa: int, fb: int, da: int, db: int) -> int:
     """Δ output of a 2-input OR (or NOR)."""
-    if da == FALSE and db == FALSE:
-        return FALSE
+    if db == FALSE:
+        return FALSE if da == FALSE else m.apply_and(m.apply_not(fb), da)
+    if da == FALSE:
+        return m.apply_and(m.apply_not(fa), db)
     term1 = m.apply_and(m.apply_not(fa), db)
     term2 = m.apply_and(m.apply_not(fb), da)
     term3 = m.apply_and(da, db)
@@ -81,7 +87,9 @@ def gate_output_difference(
     fanin *i*. Gates with more than two fanins are folded left-to-right
     through the 2-input identities, carrying the (good, Δ) pair of the
     partial chain — the chain's good function is the fold of the base
-    (non-inverting) gate, and output inversion is irrelevant to Δ.
+    (non-inverting) gate, and output inversion is irrelevant to Δ. Only
+    the goods a later step reads are computed: none for XOR, and never
+    the whole chain's.
     """
     if len(goods) != len(deltas):
         raise ValueError("goods and deltas must align")
@@ -90,17 +98,21 @@ def gate_output_difference(
     if gate_type in (GateType.CONST0, GateType.CONST1):
         return FALSE
     base = gate_type.base
-    good_acc, delta_acc = goods[0], deltas[0]
-    for good_in, delta_in in zip(goods[1:], deltas[1:]):
-        if base is GateType.AND:
-            delta_acc = and_difference(m, good_acc, good_in, delta_acc, delta_in)
-            good_acc = m.apply_and(good_acc, good_in)
-        elif base is GateType.OR:
-            delta_acc = or_difference(m, good_acc, good_in, delta_acc, delta_in)
-            good_acc = m.apply_or(good_acc, good_in)
-        elif base is GateType.XOR:
+    delta_acc = deltas[0]
+    if base is GateType.XOR:
+        for delta_in in deltas[1:]:
             delta_acc = xor_difference(m, delta_acc, delta_in)
-            good_acc = m.apply_xor(good_acc, good_in)
-        else:
-            raise ValueError(f"no difference identity for {gate_type}")
+        return delta_acc
+    if base is GateType.AND:
+        step, fold = and_difference, m.apply_and
+    elif base is GateType.OR:
+        step, fold = or_difference, m.apply_or
+    else:
+        raise ValueError(f"no difference identity for {gate_type}")
+    good_acc = goods[0]
+    last = len(goods) - 1
+    for k in range(1, last + 1):
+        delta_acc = step(m, good_acc, goods[k], delta_acc, deltas[k])
+        if k < last:
+            good_acc = fold(good_acc, goods[k])
     return delta_acc

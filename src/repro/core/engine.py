@@ -6,11 +6,13 @@ underlying OBDD manager) across an entire fault campaign:
 1. **initialize** — seed the difference function at the fault site(s):
    ``Δf = f ⊕ v`` for a stuck-at line, or the asymmetric disturbance
    pair for a bridge (``Δf_u = f_u·f̄_v`` etc.);
-2. **propagate** — sweep the gates in topological order, computing each
-   output difference from the input goods and differences via the
-   Table 1 identities, skipping every gate whose inputs carry no
-   difference ("in a manner analogous to selective trace, calculations
-   are only performed as long as difference information exists");
+2. **propagate** — grow a frontier from the fault site(s): a gate is
+   woken only when one of its input nets gets a nonzero difference, and
+   woken gates run in topological order, each computing its output
+   difference from the input goods and differences via the Table 1
+   identities ("in a manner analogous to selective trace, calculations
+   are only performed as long as difference information exists"). Gates
+   outside the sites' fanout cone are never visited;
 3. **collect** — the union of the primary-output differences is
    "identically the complete test set for the fault".
 
@@ -41,6 +43,7 @@ exactly the same safe point.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from repro import knobs
@@ -129,6 +132,16 @@ class DifferencePropagation:
         self.reclaimed_nodes = 0
         #: whole-manager rebuild fallbacks (should stay 0 with GC on)
         self.rebuilds = 0
+        #: gates whose output Δ was computed, summed over every fault
+        self.gates_evaluated = 0
+        # The propagation frontier's static half: gates in topological
+        # order, each gate's position in it, and each net's sink gates.
+        self._gates = list(circuit.gates())
+        self._gate_index = {gate.name: i for i, gate in enumerate(self._gates)}
+        self._sinks: dict[str, list[int]] = {net: [] for net in circuit.nets}
+        for i, gate in enumerate(self._gates):
+            for fanin in gate.fanins:
+                self._sinks[fanin].append(i)
 
     # ------------------------------------------------------------------
     def analyze(self, fault: Fault) -> FaultAnalysis:
@@ -142,30 +155,51 @@ class DifferencePropagation:
         self._manage_memory()
         functions = self.functions
         m = functions.manager
+        node = functions.node
+        gates, index, sinks = self._gates, self._gate_index, self._sinks
         stem_deltas, branch_deltas = self._initialize(fault)
 
+        # Selective trace: only gates fed by a nonzero Δ are woken, and
+        # the heap pops them in topological index order — the order a
+        # full sweep would visit them — so a gate runs after every
+        # fanin Δ it can see is final. A gate fed by several live nets
+        # is pushed once per net; the repeats pop back to back.
         deltas: dict[str, int] = dict(stem_deltas)
-        for gate in self.circuit.gates():
-            if gate.name in stem_deltas:
-                continue  # the fault pins this net's difference
-            goods: list[int] | None = None
-            input_deltas: list[int] = []
-            live = False
-            for pin, fanin in enumerate(gate.fanins):
-                delta = branch_deltas.get((gate.name, pin))
-                if delta is None:
-                    delta = deltas.get(fanin, FALSE)
-                if delta != FALSE:
-                    live = True
-                input_deltas.append(delta)
-            if not live:
+        frontier: list[int] = []
+        for net, delta in stem_deltas.items():
+            if delta != FALSE:
+                frontier.extend(sinks[net])
+        pinned: dict[int, dict[int, int]] = {}
+        for (sink, pin), delta in branch_deltas.items():
+            pinned.setdefault(index[sink], {})[pin] = delta
+            if delta != FALSE:
+                frontier.append(index[sink])
+        heapify(frontier)
+        evaluated = 0
+        last = -1
+        while frontier:
+            i = heappop(frontier)
+            if i == last:
                 continue
-            goods = [functions.node(f) for f in gate.fanins]
+            last = i
+            gate = gates[i]
+            name = gate.name
+            if name in stem_deltas:
+                continue  # the fault pins this net's difference
+            input_deltas = [deltas.get(fanin, FALSE) for fanin in gate.fanins]
+            if i in pinned:
+                for pin, delta in pinned[i].items():
+                    input_deltas[pin] = delta
+            goods = [node(fanin) for fanin in gate.fanins]
             out_delta = gate_output_difference(
                 m, gate.gate_type, goods, input_deltas
             )
+            evaluated += 1
             if out_delta != FALSE:
-                deltas[gate.name] = out_delta
+                deltas[name] = out_delta
+                for j in sinks[name]:
+                    heappush(frontier, j)
+        self.gates_evaluated += evaluated
 
         po_deltas: dict[str, Function] = {}
         tests_node = FALSE

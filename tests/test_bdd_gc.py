@@ -7,7 +7,10 @@ The hazards these tests pin down:
 * freed slots are reused, so any computed-table or counting-memo entry
   touching a dead id must be invalidated — a stale entry would silently
   alias onto whatever different node later lands in the slot;
-* cache eviction may only ever cost recomputation, never wrongness.
+* cache eviction may only ever cost recomputation, never wrongness;
+* the apply closures are bound once per manager to its tables, so the
+  tables must keep their identity across :meth:`gc` and :meth:`sift`,
+  and the closures must not keep their manager alive.
 
 Property tests draw expression trees from
 :func:`tests.strategies.boolexprs` and build them in differently
@@ -16,8 +19,10 @@ configured managers, demanding identical semantics throughout.
 
 from __future__ import annotations
 
+import gc as cyclic_gc
 import itertools
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +36,8 @@ from repro.bdd.cache import (
 )
 from repro.bdd.function import Function
 from repro.bdd.manager import FALSE, TRUE, BDDManager
+from repro.benchcircuits.registry import get_circuit
+from repro.core.symbolic import CircuitFunctions
 
 from tests.strategies import BOOLEXPR_NAMES, boolexprs, build_bdd
 
@@ -234,6 +241,74 @@ class TestMemoInvalidation:
         m.satcount(dead)  # populate the memo
         m.gc()
         assert dead not in m._count_memo
+
+
+class TestComputedTableEpochs:
+    def test_gc_that_frees_a_slot_drops_the_whole_table(self):
+        m = fresh_manager()
+        kept = Function(m, build_bdd(m, ("or", "a", ("and", "b", "c"))))
+        build_bdd(m, ("xor", ("and", "d", "e"), ("not", "a")))  # garbage
+        entries = len(m._cache)
+        invalidated = m.stats().cache_invalidations
+        assert entries > 0
+        assert m.gc() > 0
+        assert len(m._cache) == 0
+        assert m.stats().cache_invalidations == invalidated + entries
+        # The survivors still resolve through the emptied table.
+        assert m.apply_or(m.var("a"), m.apply_and(m.var("b"), m.var("c"))) == (
+            kept.node
+        )
+
+    def test_gc_that_frees_nothing_keeps_the_table(self):
+        m = fresh_manager()
+        a, b = Function(m, m.var("a")), Function(m, m.var("b"))
+        kept = Function(m, m.apply_or(a.node, b.node))  # no garbage made
+        entries = len(m._cache)
+        assert entries > 0
+        assert m.gc() == 0
+        assert len(m._cache) == entries
+        del kept
+
+
+# ----------------------------------------------------------------------
+# Manager lifetime and the bound apply closures
+# ----------------------------------------------------------------------
+class TestManagerLifetime:
+    def test_manager_and_function_table_die_on_del(self):
+        # With the cycle collector off, only plain reference counting
+        # can free them: a closure holding the manager (or one of its
+        # bound methods) would form a cycle and keep both alive.
+        cyclic_gc.disable()
+        try:
+            m = fresh_manager()
+            Function(m, build_bdd(m, ("xor", ("and", "a", "b"), "c")))
+            manager_ref = weakref.ref(m)
+            del m
+            assert manager_ref() is None
+
+            functions = CircuitFunctions(get_circuit("c17"))
+            table_refs = (weakref.ref(functions), weakref.ref(functions.manager))
+            del functions
+            assert [ref() for ref in table_refs] == [None, None]
+        finally:
+            cyclic_gc.enable()
+
+    def test_tables_keep_their_identity_across_gc_and_sift(self):
+        m = fresh_manager()
+        unique, data = m._unique, m._cache.data
+        kept = Function(m, build_bdd(m, ("or", ("and", "a", "e"), ("xor", "b", "d"))))
+        table = truth_table(m, kept.node)
+        build_bdd(m, ("and", ("or", "c", "d"), ("not", "e")))  # garbage
+        assert m.gc() > 0
+        assert m._unique is unique and m._cache.data is data
+        m.sift()
+        assert m._unique is unique and m._cache.data is data
+        # The closures still see the live tables: rebuilding the kept
+        # function finds the very same node.
+        assert build_bdd(m, ("or", ("and", "a", "e"), ("xor", "b", "d"))) == (
+            kept.node
+        )
+        assert truth_table(m, kept.node) == table
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bdd.manager import BDDManager, FALSE
 from repro.circuit.gates import GateType
@@ -16,6 +16,8 @@ from repro.core.difference import (
     or_difference,
     xor_difference,
 )
+
+from tests.strategies import BOOLEXPR_NAMES, boolexprs, build_bdd
 
 _NAMES = ["fa", "fb", "da", "db"]
 
@@ -170,3 +172,70 @@ def test_identities_on_random_functions(gate_type, arity, rng):
         return m.apply_not(acc) if gate_type.is_inverting else acc
 
     assert via_table == m.apply_xor(direct(goods), direct(faulty))
+
+
+def _literal_fold(m, base, goods, deltas):
+    """Table 1 written out term by term, every partial good computed."""
+    good_acc, delta_acc = goods[0], deltas[0]
+    for good_in, delta_in in zip(goods[1:], deltas[1:]):
+        if base is GateType.AND:
+            terms = (
+                m.apply_and(good_acc, delta_in),
+                m.apply_and(good_in, delta_acc),
+                m.apply_and(delta_acc, delta_in),
+            )
+            good_next = m.apply_and(good_acc, good_in)
+        elif base is GateType.OR:
+            terms = (
+                m.apply_and(m.apply_not(good_acc), delta_in),
+                m.apply_and(m.apply_not(good_in), delta_acc),
+                m.apply_and(delta_acc, delta_in),
+            )
+            good_next = m.apply_or(good_acc, good_in)
+        else:
+            terms = (delta_acc, delta_in)
+            good_next = m.apply_xor(good_acc, good_in)
+        delta_acc = FALSE
+        for term in terms:
+            delta_acc = m.apply_xor(delta_acc, term)
+        good_acc = good_next
+    return delta_acc
+
+
+_FOLDED_GATES = [
+    GateType.AND,
+    GateType.NAND,
+    GateType.OR,
+    GateType.NOR,
+    GateType.XOR,
+    GateType.XNOR,
+]
+
+#: (good expression, Δ expression or None for the zero function) per fanin
+_fanins = st.lists(
+    st.tuples(boolexprs(), st.one_of(st.none(), boolexprs())),
+    min_size=1,
+    max_size=5,
+)
+
+
+@pytest.mark.parametrize("gate_type", _FOLDED_GATES + [GateType.BUF, GateType.NOT])
+@settings(max_examples=40, deadline=None)
+@given(fanins=_fanins)
+@example(fanins=[("a", None), ("b", "c")])  # zero Δ on the left
+@example(fanins=[("a", "c"), ("b", None)])  # zero Δ on the right
+@example(fanins=[("a", None), ("b", None), ("c", "d")])
+@example(fanins=[("a", "d"), ("b", None), ("c", None), ("e", "a"), ("d", None)])
+def test_fold_equals_the_literal_expansion(gate_type, fanins):
+    """Every shortcut of the fold agrees with the full Table 1 chain."""
+    if gate_type in (GateType.BUF, GateType.NOT):
+        fanins = fanins[:1]
+    m = BDDManager(BOOLEXPR_NAMES)
+    goods = [build_bdd(m, good) for good, _ in fanins]
+    deltas = [FALSE if d is None else build_bdd(m, d) for _, d in fanins]
+    expected = (
+        deltas[0]
+        if gate_type in (GateType.BUF, GateType.NOT)
+        else _literal_fold(m, gate_type.base, goods, deltas)
+    )
+    assert gate_output_difference(m, gate_type, goods, deltas) == expected

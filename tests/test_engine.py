@@ -13,8 +13,14 @@ from hypothesis import given, settings
 from repro.core.engine import DifferencePropagation
 from repro.core.symbolic import CircuitFunctions
 from repro.faults.bridging import BridgeKind, BridgingFault, enumerate_nfbfs
+from repro.benchcircuits.registry import get_circuit
 from repro.faults.lines import Line
-from repro.faults.stuck_at import StuckAtFault, all_stuck_at_faults
+from repro.faults.multiple import MultipleStuckAtFault, double_faults
+from repro.faults.stuck_at import (
+    StuckAtFault,
+    all_stuck_at_faults,
+    collapsed_checkpoint_faults,
+)
 from repro.simulation.truthtable import TruthTableSimulator
 
 from tests.strategies import circuits
@@ -165,6 +171,88 @@ class TestEngineMechanics:
             1 << i for i, net in enumerate(fulladder.inputs) if test[net]
         )
         assert (simulator.detection_word(fault) >> vector) & 1
+
+
+def _site_gates(circuit, fault) -> frozenset[str]:
+    """Gates in the transitive fanout of every site of ``fault``."""
+    if isinstance(fault, MultipleStuckAtFault):
+        return frozenset().union(
+            *(_site_gates(circuit, c) for c in fault.components)
+        )
+    if isinstance(fault, BridgingFault):
+        return circuit.transitive_fanout(
+            fault.net_a
+        ) | circuit.transitive_fanout(fault.net_b)
+    line = fault.line
+    if line.is_stem:
+        return circuit.transitive_fanout(line.net)
+    return circuit.transitive_fanout(line.sink) | {line.sink}
+
+
+def _nested_doubles(circuit) -> list[MultipleStuckAtFault]:
+    """Double faults with one component in the other's fanout cone."""
+    return [
+        fault
+        for fault in double_faults(all_stuck_at_faults(circuit))
+        if any(
+            (first.line.sink or first.line.net)
+            in _site_gates(circuit, second)
+            for first, second in (fault.components, fault.components[::-1])
+        )
+    ]
+
+
+class TestFrontier:
+    """Selective trace: only the fault sites' fanout cone is evaluated."""
+
+    @staticmethod
+    def _check_cone_bound(circuit, faults, simulator=None) -> int:
+        engine = DifferencePropagation(circuit)
+        checked = 0
+        for fault in faults:
+            before = engine.gates_evaluated
+            analysis = engine.analyze(fault)
+            evaluated = engine.gates_evaluated - before
+            assert evaluated <= len(_site_gates(circuit, fault)), fault
+            if simulator is not None:
+                assert analysis.detectability == simulator.detectability(
+                    fault
+                ), fault
+            checked += 1
+        return checked
+
+    def test_c432_stuck_at_faults_stay_in_their_cone(self):
+        c432 = get_circuit("c432")
+        faults = collapsed_checkpoint_faults(c432)
+        assert self._check_cone_bound(c432, faults) == len(faults)
+
+    def test_c17_bridges_stay_in_their_cone_and_match(self, c17):
+        simulator = TruthTableSimulator(c17)
+        for kind in BridgeKind:
+            faults = list(enumerate_nfbfs(c17, kind))
+            assert self._check_cone_bound(c17, faults, simulator) == len(faults)
+
+    def test_nested_multiple_faults_stay_in_their_cone_and_match(self, c17):
+        faults = _nested_doubles(c17)
+        # the upstream site's cone holds the downstream one; G11 feeds
+        # G16, so this pair must be among them
+        assert MultipleStuckAtFault.of(
+            StuckAtFault(Line("G11"), True), StuckAtFault(Line("G16"), False)
+        ) in faults
+        simulator = TruthTableSimulator(c17)
+        assert self._check_cone_bound(c17, faults, simulator) == len(faults)
+
+    def test_counter_is_cumulative_and_skips_dead_gates(self, c17):
+        engine = DifferencePropagation(c17)
+        assert engine.gates_evaluated == 0
+        # A PO stem fault wakes no gate at all.
+        engine.analyze(StuckAtFault(Line("G22"), True))
+        assert engine.gates_evaluated == 0
+        # G10 feeds only G22: exactly one gate evaluated.
+        engine.analyze(StuckAtFault(Line("G10"), True))
+        assert engine.gates_evaluated == 1
+        engine.analyze(StuckAtFault(Line("G10"), False))
+        assert engine.gates_evaluated == 2
 
 
 @settings(max_examples=20, deadline=None)
