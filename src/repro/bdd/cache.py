@@ -1,14 +1,27 @@
-"""Bounded operation cache and manager telemetry.
+"""Bounded operation cache, packed table keys and manager telemetry.
 
 The computed table is the manager's dominant memory consumer during
-long fault campaigns — it dwarfs the node store by an order of
-magnitude. :class:`OperationCache` bounds it: once the table overflows
-``bound`` entries the oldest half is evicted (dict insertion order is
-age order), and every lookup/store is attributed to its operation tag
-so :meth:`BDDManager.stats <repro.bdd.manager.BDDManager.stats>` can
-report per-op hit/miss/eviction counts.
+long fault campaigns. It is split by operation, in the layout of
+Brace, Rudell & Bryant ("Efficient Implementation of a BDD Package",
+DAC 1990): AND, OR and XOR each own a dict keyed by the packed node
+pair ``f << 32 | g`` (operands ordered ``f <= g``), NOT owns a dict
+keyed by ``f``, and the rarely used ITE, quantifier, compose and
+restrict recursions share one dict of tagged tuple keys. A packed int
+key is a 32-byte object and hashes faster than the 64-byte tuple it
+replaces. The manager's unique table uses the same packing, one dict
+per variable level keyed by ``low << 32 | high``; :func:`pack` is the
+packing, spelled out inline on the hot paths. Every node id must
+therefore stay below :data:`NODE_LIMIT`.
 
-Garbage collection drops the whole table whenever a sweep frees node
+:class:`OperationCache` bounds the five tables together: once their
+total size passes ``bound`` every table is emptied with ``clear()``,
+which hands the memory back at once, and the dropped entries are
+counted as that op's evictions. Every lookup/store is attributed to
+its operation tag so :meth:`BDDManager.stats
+<repro.bdd.manager.BDDManager.stats>` can report per-op
+hit/miss/eviction counts.
+
+Garbage collection drops every table whenever a sweep frees node
 slots, and counts the dropped entries in
 :attr:`OperationCache.invalidated`: a freed slot can be reused for a
 *different* node, and a stale entry keyed on the old id would silently
@@ -21,9 +34,9 @@ Dynamic reordering (:meth:`BDDManager.sift
 either: quantifier keys embed level *frozensets* and restrict/compose
 keys embed level ints, all of which change meaning when variables move,
 and even pure node-id keys describe results under the old order. Both
-drop the table in place with :meth:`OperationCache.clear` (counters
+empty the tables in place with :meth:`OperationCache.clear` (counters
 survive; they are cumulative), so the manager's apply closures, which
-hold :attr:`OperationCache.data`, stay bound to the live table.
+each hold their op's table, stay bound to the live tables.
 
 :class:`ManagerStats` is the plain-scalar snapshot of all of this
 (live/allocated nodes, GC totals, cache rates); it is picklable so the
@@ -33,7 +46,6 @@ parallel campaign workers can ship it home inside their chunk stats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 #: Operation tags for the computed table, in stable display order.
 OP_AND = 0
@@ -60,8 +72,28 @@ OP_NAMES: tuple[str, ...] = (
     "restrict",
 )
 
-#: Default computed-table bound. Roughly 100 MB of dict at CPython's
-#: per-entry cost — far below what unbounded campaign tables reached.
+#: Bit width of one packed operand: a node id must fit below it.
+KEY_BITS = 32
+
+#: Exclusive upper bound on node ids (see :func:`pack`).
+NODE_LIMIT = 1 << KEY_BITS
+
+
+def pack(hi: int, lo: int) -> int:
+    """The packed table key of a node pair: ``hi << 32 | lo``.
+
+    Injective while ``lo`` stays below :data:`NODE_LIMIT`, which the
+    manager enforces on every new node slot. The hot paths spell this
+    expression out inline rather than pay a call.
+    """
+    return hi << KEY_BITS | lo
+
+
+#: Default computed-table bound, in entries summed over all five tables.
+#: About 90 MB when full: at its first overflow on the c1908 benchmark
+#: fault the tables held 1.05M entries in 87 MB of dicts and keys (83 B
+#: an entry; results are node ids the unique table already holds). The
+#: tuple-keyed single table this layout replaced held 167 MB there.
 DEFAULT_CACHE_SIZE = 1 << 20
 
 
@@ -111,20 +143,31 @@ class ManagerStats:
 
 
 class OperationCache:
-    """Size-bounded computed table with per-op counters.
+    """Size-bounded computed tables with per-op counters.
 
-    The manager's hot apply loops bind :attr:`data`, :attr:`hits` and
+    :attr:`and_`, :attr:`or_`, :attr:`xor` and :attr:`not_` are the
+    packed-key tables of the four apply recursions; :attr:`other` holds
+    the tagged tuple keys of ITE, exists, forall, compose and restrict.
+    The manager's hot apply loops bind these dicts and :attr:`hits` /
     :attr:`misses` directly — a method call per lookup would roughly
     double the cost of the apply recursion — so this class only owns
-    the bounding, eviction and reporting logic.
+    the bounding, emptying and reporting logic. The tables are only
+    ever emptied in place, never replaced.
     """
 
-    __slots__ = ("data", "bound", "hits", "misses", "evictions", "invalidated")
+    __slots__ = (
+        "and_", "or_", "xor", "not_", "other",
+        "bound", "hits", "misses", "evictions", "invalidated",
+    )
 
     def __init__(self, bound: int = DEFAULT_CACHE_SIZE) -> None:
         if bound < 1:
             raise ValueError("cache bound must be at least 1")
-        self.data: dict[tuple, int] = {}
+        self.and_: dict[int, int] = {}
+        self.or_: dict[int, int] = {}
+        self.xor: dict[int, int] = {}
+        self.not_: dict[int, int] = {}
+        self.other: dict[tuple, int] = {}
         self.bound = bound
         self.hits: list[int] = [0] * NUM_OPS
         self.misses: list[int] = [0] * NUM_OPS
@@ -132,31 +175,46 @@ class OperationCache:
         #: entries dropped by GC sweeps that freed node slots
         self.invalidated = 0
 
+    @property
+    def tables(self) -> tuple[dict, ...]:
+        """The five tables: AND, OR, XOR, NOT, then the shared one."""
+        return self.and_, self.or_, self.xor, self.not_, self.other
+
     def __len__(self) -> int:
-        return len(self.data)
+        return (
+            len(self.and_) + len(self.or_) + len(self.xor)
+            + len(self.not_) + len(self.other)
+        )
 
     def maybe_evict(self) -> int:
-        """Shed the oldest entries once the table overflows the bound.
+        """Empty every table once their total size passes the bound.
 
-        Eviction drops back to half the bound so consecutive large
-        operations don't evict on every call. Called between (or at
-        worst around) operations — an evicted entry can only ever cost
-        recomputation, never a wrong answer.
+        Returns the number of entries dropped. Runs after every public
+        operation, so the no-overflow check is a few ``len`` calls
+        (spelled out: ``len(self)`` would add a Python-level call).
+        Emptying in place returns the memory at once and never walks
+        the packed tables; only the small shared one is tallied by op
+        tag. An evicted entry can only ever cost recomputation, never a
+        wrong answer.
         """
-        data = self.data
-        if len(data) <= self.bound:
+        total = (
+            len(self.and_) + len(self.or_) + len(self.xor)
+            + len(self.not_) + len(self.other)
+        )
+        if total <= self.bound:
             return 0
-        drop = len(data) - self.bound // 2
-        stale = list(islice(iter(data), drop))
         evictions = self.evictions
-        for key in stale:
-            del data[key]
+        for op, table in zip((OP_AND, OP_OR, OP_XOR, OP_NOT), self.tables):
+            evictions[op] += len(table)
+        for key in self.other:
             evictions[key[0]] += 1
-        return drop
+        self.clear()
+        return total
 
     def clear(self) -> None:
         """Drop every entry (counters are cumulative and survive)."""
-        self.data.clear()
+        for table in self.tables:
+            table.clear()
 
     def op_stats(self) -> tuple[OpCacheStats, ...]:
         return tuple(

@@ -7,7 +7,8 @@ set to 0 / 1). The manager enforces the two ROBDD invariants:
 
 * **ordered** — children always have strictly larger levels;
 * **reduced** — no node with ``low == high`` and no duplicate
-  ``(level, low, high)`` triples (unique table).
+  ``(level, low, high)`` triples (unique table: one dict per level,
+  keyed by the packed pair ``low << 32 | high``).
 
 Because of these invariants two functions are equal iff their node ids
 are equal, which is what makes exact fault analysis cheap: a difference
@@ -18,7 +19,7 @@ external holders (``Function`` handles, ``CircuitFunctions`` tables)
 register their roots with :meth:`BDDManager.incref` and release them
 with :meth:`BDDManager.decref`. :meth:`BDDManager.gc` mark-sweeps
 everything unreachable from the registered roots onto a free list —
-node ids of live nodes never change — rebuilds the unique table over
+node ids of live nodes never change — rebuilds the unique tables over
 the survivors, drops the whole computed table and the counting-memo
 entries of freed slots (a freed slot may be reused for a different
 node, so stale entries would otherwise alias). GC never runs
@@ -31,9 +32,10 @@ tables, built once per manager; GC, sifting and cache eviction mutate
 those tables in place so the closures never need rebinding.
 
 The computed table itself is a size-bounded
-:class:`~repro.bdd.cache.OperationCache` with per-op hit/miss/eviction
-counters; :meth:`BDDManager.stats` snapshots the whole picture as a
-:class:`~repro.bdd.cache.ManagerStats`.
+:class:`~repro.bdd.cache.OperationCache`: one packed-key dict per apply
+op plus one shared dict, all emptied once their total overflows, with
+per-op hit/miss/eviction counters; :meth:`BDDManager.stats` snapshots
+the whole picture as a :class:`~repro.bdd.cache.ManagerStats`.
 
 The manager works on raw integer handles for speed; the friendlier
 :class:`repro.bdd.function.Function` wrapper is layered on top.
@@ -48,6 +50,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.bdd.cache import (
     DEFAULT_CACHE_SIZE,
+    NODE_LIMIT,
     ManagerStats,
     OperationCache,
 )
@@ -74,6 +77,12 @@ _FREED = -1
 
 class BDDError(Exception):
     """Raised on misuse of the BDD layer (unknown variables, mixed managers...)."""
+
+
+def _node_limit_error() -> BDDError:
+    return BDDError(
+        f"node store full: packed table keys need node ids below {NODE_LIMIT}"
+    )
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,9 @@ class BDDManager:
         :meth:`add_var`; inserting in the middle of the order is not
         supported (it would invalidate existing nodes).
     cache_size:
-        Bound on the computed table (entries). The oldest half is
-        evicted on overflow; see :mod:`repro.bdd.cache`.
+        Bound on the computed table, in entries summed over its
+        per-op tables. Every table is emptied when the total passes
+        it; see :mod:`repro.bdd.cache`.
     """
 
     def __init__(
@@ -147,7 +157,8 @@ class BDDManager:
         self._level: list[int] = [2**60, 2**60]
         self._low: list[int] = [0, 1]
         self._high: list[int] = [0, 1]
-        self._unique: dict[tuple[int, int, int], int] = {}
+        # One dict per level, keyed ``low << 32 | high``.
+        self._unique: list[dict[int, int]] = []
         self._cache = OperationCache(cache_size)
         self._count_memo: dict[int, int] = {}
         self._var_names: list[str] = []
@@ -183,6 +194,7 @@ class BDDManager:
         level = len(self._var_names)
         self._var_names.append(name)
         self._var_index[name] = level
+        self._unique.append({})
         # Counting results depend on the variable-set size.
         self._count_memo.clear()
         return level
@@ -300,7 +312,7 @@ class BDDManager:
         Live node ids never change — dead slots go to a free list for
         reuse — so raw handles to live nodes, ``Function`` wrappers,
         and ``CircuitFunctions`` tables all stay valid. The unique
-        table is rebuilt over the survivors. If any slot was freed, the
+        tables are rebuilt over the survivors. If any slot was freed, the
         computed table is dropped (counted in ``cache_invalidations``)
         and so are the counting-memo entries of freed slots: slot reuse
         would otherwise alias them onto different nodes.
@@ -334,15 +346,16 @@ class BDDManager:
                 stack.append(hi)
         free = self._free
         freed = 0
-        # Rebuilt in place: the apply closures hold this very dict.
+        # Rebuilt in place: the apply closures hold these very dicts.
         unique = self._unique
-        unique.clear()
+        for table in unique:
+            table.clear()
         for u in range(2, len(level)):
             lv = level[u]
             if lv == _FREED:
                 continue  # reclaimed in an earlier sweep, still free
             if alive[u]:
-                unique[(lv, low[u], high[u])] = u
+                unique[lv][low[u] << 32 | high[u]] = u
             else:
                 level[u] = _FREED
                 free.append(u)
@@ -602,24 +615,23 @@ class BDDManager:
         """
         j = i + 1
         level, low, high = self._level, self._low, self._high
-        unique = self._unique
+        unique_i, unique_j = self._unique[i], self._unique[j]
         by_level, ref = st.by_level, st.ref
         a_nodes = by_level[i]
         b_nodes = by_level[j]
         # Retire both levels' unique-table keys before any node changes
         # shape: with the key space empty, transient aliasing between
-        # old and new triples is impossible.
-        for u in a_nodes:
-            del unique[(i, low[u], high[u])]
-        for v in b_nodes:
-            del unique[(j, low[v], high[v])]
+        # old and new pairs is impossible. Within a pass each level's
+        # dict holds exactly that level's live nodes.
+        unique_i.clear()
+        unique_j.clear()
         # Level-j nodes move up unchanged. From here on ``b_nodes`` also
         # serves as the "was decided at level j" membership test — its
         # ids are disjoint from every old child examined below, because
         # children of level-i nodes sit strictly below level i.
         for v in b_nodes:
             level[v] = i
-            unique[(i, low[v], high[v])] = v
+            unique_i[low[v] << 32 | high[v]] = v
         new_j: set[int] = set()
         rewired: list[int] = []
         for u in a_nodes:
@@ -628,7 +640,7 @@ class BDDManager:
             else:
                 # Independent of the level-j variable: slide down as-is.
                 level[u] = j
-                unique[(j, low[u], high[u])] = u
+                unique_j[low[u] << 32 | high[u]] = u
                 new_j.add(u)
         by_level[i] = b_nodes
         by_level[j] = new_j
@@ -646,27 +658,27 @@ class BDDManager:
             if f00 == f10:
                 nf0 = f00
             else:
-                key = (j, f00, f10)
-                nf0 = unique.get(key)
+                key = f00 << 32 | f10
+                nf0 = unique_j.get(key)
                 if nf0 is None:
                     nf0 = self._reorder_new_node(j, f00, f10, st)
-                    unique[key] = nf0
+                    unique_j[key] = nf0
                     new_j.add(nf0)
             if f01 == f11:
                 nf1 = f01
             else:
-                key = (j, f01, f11)
-                nf1 = unique.get(key)
+                key = f01 << 32 | f11
+                nf1 = unique_j.get(key)
                 if nf1 is None:
                     nf1 = self._reorder_new_node(j, f01, f11, st)
-                    unique[key] = nf1
+                    unique_j[key] = nf1
                     new_j.add(nf1)
             # nf0 != nf1 always: equal cofactors would mean u does not
             # depend on the level-j variable, contradicting the rewire
             # test above. Rewire u in place and release its old children.
             low[u] = nf0
             high[u] = nf1
-            unique[(i, nf0, nf1)] = u
+            unique_i[nf0 << 32 | nf1] = u
             ref[nf0] += 1
             ref[nf1] += 1
             self._reorder_deref(f0, st)
@@ -690,6 +702,8 @@ class BDDManager:
             self._high[node] = hi
         else:
             node = len(self._level)
+            if node >= NODE_LIMIT:
+                raise _node_limit_error()
             self._level.append(lv)
             self._low.append(lo)
             self._high.append(hi)
@@ -717,7 +731,7 @@ class BDDManager:
             ref[v] -= 1
             if v > TRUE and ref[v] == 0 and v not in extrefs:
                 lv = level[v]
-                del unique[(lv, low[v], high[v])]
+                del unique[lv][low[v] << 32 | high[v]]
                 by_level[lv].discard(v)
                 st.dead.append(v)
                 st.size -= 1
@@ -744,7 +758,7 @@ class BDDManager:
             return f
         key = (_OP_ITE, f, g, h)
         cache = self._cache
-        result = cache.data.get(key)
+        result = cache.other.get(key)
         if result is not None:
             cache.hits[_OP_ITE] += 1
             return result
@@ -757,7 +771,7 @@ class BDDManager:
         low = self._ite(f0, g0, h0)
         high = self._ite(f1, g1, h1)
         result = self._mk(top, low, high)
-        cache.data[key] = result
+        cache.other[key] = result
         return result
 
     def _cofactors(self, u: int, level: int) -> tuple[int, int]:
@@ -819,7 +833,7 @@ class BDDManager:
             return f
         key = (_OP_RESTRICT, f, level, value)
         cache = self._cache
-        result = cache.data.get(key)
+        result = cache.other.get(key)
         if result is not None:
             cache.hits[_OP_RESTRICT] += 1
             return result
@@ -832,7 +846,7 @@ class BDDManager:
                 self._restrict(self._low[f], level, value),
                 self._restrict(self._high[f], level, value),
             )
-        cache.data[key] = result
+        cache.other[key] = result
         return result
 
     def exists(self, f: int, names: Iterable[str]) -> int:
@@ -856,7 +870,7 @@ class BDDManager:
             return f
         key = (op, f, levels)
         cache = self._cache
-        result = cache.data.get(key)
+        result = cache.other.get(key)
         if result is not None:
             cache.hits[op] += 1
             return result
@@ -870,7 +884,7 @@ class BDDManager:
                 result = self.apply_and(low, high)
         else:
             result = self._mk(self._level[f], low, high)
-        cache.data[key] = result
+        cache.other[key] = result
         return result
 
     def compose(self, f: int, name: str, g: int) -> int:
@@ -885,7 +899,7 @@ class BDDManager:
             return f
         key = (_OP_COMPOSE, f, level, g)
         cache = self._cache
-        result = cache.data.get(key)
+        result = cache.other.get(key)
         if result is not None:
             cache.hits[_OP_COMPOSE] += 1
             return result
@@ -900,7 +914,7 @@ class BDDManager:
             # rebuild through ite on the decision variable to stay safe.
             var_node = self._mk(self._level[f], FALSE, TRUE)
             result = self._ite(var_node, high, low)
-        cache.data[key] = result
+        cache.other[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -1073,7 +1087,7 @@ def _apply_closures(
     level: list[int],
     low: list[int],
     high: list[int],
-    unique: dict[tuple[int, int, int], int],
+    unique: list[dict[int, int]],
     free: list[int],
     cache: OperationCache,
 ) -> tuple[Callable[..., int], ...]:
@@ -1085,16 +1099,22 @@ def _apply_closures(
     roughly halves the cost of the recursion. They close over the
     tables only, never the manager, so a manager is freed as soon as
     its last reference goes (no manager <-> closure cycle). The binary
-    recursions share one body; each op's terminal cases stay inline,
-    picked by flags fixed when the closure is made.
+    recursions share one body, each bound to its op's computed table;
+    each op's terminal cases stay inline, picked by flags fixed when
+    the closure is made. Table keys pack two node ids into one int
+    (:func:`repro.bdd.cache.pack`, spelled out inline), so a new slot
+    past :data:`~repro.bdd.cache.NODE_LIMIT` raises :class:`BDDError`.
     """
-    data, hits, misses = cache.data, cache.hits, cache.misses
+    hits, misses = cache.hits, cache.misses
+    not_table = cache.not_
+    limit = NODE_LIMIT
 
     def mk(top: int, r0: int, r1: int) -> int:
         if r0 == r1:
             return r0
-        key = (top, r0, r1)
-        node = unique.get(key)
+        table = unique[top]
+        key = r0 << 32 | r1
+        node = table.get(key)
         if node is None:
             if free:
                 node = free.pop()
@@ -1103,10 +1123,12 @@ def _apply_closures(
                 high[node] = r1
             else:
                 node = len(level)
+                if node >= limit:
+                    raise _node_limit_error()
                 level.append(top)
                 low.append(r0)
                 high.append(r1)
-            unique[key] = node
+            table[key] = node
         return node
 
     def not_(f: int) -> int:
@@ -1114,19 +1136,18 @@ def _apply_closures(
             return TRUE
         if f == TRUE:
             return FALSE
-        key = (_OP_NOT, f)
-        result = data.get(key)
+        result = not_table.get(f)
         if result is not None:
             hits[_OP_NOT] += 1
             return result
         misses[_OP_NOT] += 1
         result = mk(level[f], not_(low[f]), not_(high[f]))
-        data[key] = result
+        not_table[f] = result
         # Negation is an involution; prime the reverse entry too.
-        data[(_OP_NOT, result)] = f
+        not_table[result] = f
         return result
 
-    def binary(op: int) -> Callable[[int, int], int]:
+    def binary(op: int, data: dict[int, int]) -> Callable[[int, int], int]:
         is_and, is_or = op == _OP_AND, op == _OP_OR
 
         def rec(f: int, g: int) -> int:
@@ -1157,7 +1178,7 @@ def _apply_closures(
                     return not_(f)
             if f > g:  # commutative: canonicalize the cache key
                 f, g = g, f
-            key = (op, f, g)
+            key = f << 32 | g
             result = data.get(key)
             if result is not None:
                 hits[op] += 1
@@ -1178,8 +1199,9 @@ def _apply_closures(
             if r0 == r1:
                 result = r0
             else:
-                node_key = (top, r0, r1)
-                result = unique.get(node_key)
+                table = unique[top]
+                node_key = r0 << 32 | r1
+                result = table.get(node_key)
                 if result is None:
                     if free:
                         result = free.pop()
@@ -1188,16 +1210,24 @@ def _apply_closures(
                         high[result] = r1
                     else:
                         result = len(level)
+                        if result >= limit:
+                            raise _node_limit_error()
                         level.append(top)
                         low.append(r0)
                         high.append(r1)
-                    unique[node_key] = result
+                    table[node_key] = result
             data[key] = result
             return result
 
         return rec
 
-    return mk, not_, binary(_OP_AND), binary(_OP_OR), binary(_OP_XOR)
+    return (
+        mk,
+        not_,
+        binary(_OP_AND, cache.and_),
+        binary(_OP_OR, cache.or_),
+        binary(_OP_XOR, cache.xor),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,10 @@ The hazards these tests pin down:
 * freed slots are reused, so any computed-table or counting-memo entry
   touching a dead id must be invalidated — a stale entry would silently
   alias onto whatever different node later lands in the slot;
-* cache eviction may only ever cost recomputation, never wrongness;
+* cache eviction may only ever cost recomputation, never wrongness, and
+  an overflow empties every computed table;
+* table keys pack two node ids into one int, so the packing must be
+  injective and node ids must stay below its limit;
 * the apply closures are bound once per manager to its tables, so the
   tables must keep their identity across :meth:`gc` and :meth:`sift`,
   and the closures must not keep their manager alive.
@@ -27,15 +30,17 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bdd import manager as manager_module
 from repro.bdd.cache import (
-    OP_AND,
+    KEY_BITS,
+    NODE_LIMIT,
     OP_NAMES,
-    OP_NOT,
     ManagerStats,
     OperationCache,
+    pack,
 )
 from repro.bdd.function import Function
-from repro.bdd.manager import FALSE, TRUE, BDDManager
+from repro.bdd.manager import FALSE, TRUE, BDDError, BDDManager
 from repro.benchcircuits.registry import get_circuit
 from repro.core.symbolic import CircuitFunctions
 
@@ -198,10 +203,12 @@ class TestMemoInvalidation:
         # Root the literals themselves; only the AND node is garbage.
         lit_a, lit_b = Function(m, m.var("a")), Function(m, m.var("b"))
         a, b = lit_a.node, lit_b.node
-        dead = m.apply_and(a, b)  # cached under (OP_AND, a, b)
+        dead = m.apply_and(a, b)  # cached under pack(min, max) in and_
+        key = pack(min(a, b), max(a, b))
+        assert m._cache.and_[key] == dead
         dead_table = truth_table(m, dead)
         m.gc()  # the AND node has no external refs and dies
-        assert (OP_AND, min(a, b), max(a, b)) not in m._cache.data
+        assert key not in m._cache.and_
         # Fill the freed slot with a *different* node, then redo the
         # AND: a stale cache entry would now hand back the impostor.
         m.apply_or(m.var("c"), m.var("d"))
@@ -211,10 +218,12 @@ class TestMemoInvalidation:
     def test_involution_priming_is_invalidated_with_its_node(self):
         m = fresh_manager()
         f = Function(m, build_bdd(m, ("or", "a", ("and", "b", "c"))))
-        negated = m.apply_not(f.node)  # primes (OP_NOT, negated) -> f
+        negated = m.apply_not(f.node)  # primes not_[negated] -> f
+        assert m._cache.not_[f.node] == negated
+        assert m._cache.not_[negated] == f.node
         m.gc()  # negation had no external ref: both entries must go
-        assert (OP_NOT, f.node) not in m._cache.data
-        assert (OP_NOT, negated) not in m._cache.data
+        assert f.node not in m._cache.not_
+        assert negated not in m._cache.not_
         assert truth_table(m, m.apply_not(f.node)) == tuple(
             not v for v in truth_table(m, f.node)
         )
@@ -295,14 +304,28 @@ class TestManagerLifetime:
 
     def test_tables_keep_their_identity_across_gc_and_sift(self):
         m = fresh_manager()
-        unique, data = m._unique, m._cache.data
+
+        def tables() -> list[object]:
+            return [m._unique, *m._unique, *m._cache.tables]
+
+        def same_tables() -> bool:
+            now = tables()
+            return len(now) == len(before) and all(
+                table is old for table, old in zip(now, before)
+            )
+
+        before = tables()
+        assert len(before) == 1 + len(BOOLEXPR_NAMES) + 5
         kept = Function(m, build_bdd(m, ("or", ("and", "a", "e"), ("xor", "b", "d"))))
         table = truth_table(m, kept.node)
         build_bdd(m, ("and", ("or", "c", "d"), ("not", "e")))  # garbage
         assert m.gc() > 0
-        assert m._unique is unique and m._cache.data is data
+        assert same_tables()
         m.sift()
-        assert m._unique is unique and m._cache.data is data
+        assert same_tables()
+        build_bdd(m, ("xor", ("or", "a", "c"), ("not", "d")))
+        m.clear_caches()
+        assert same_tables()
         # The closures still see the live tables: rebuilding the kept
         # function finds the very same node.
         assert build_bdd(m, ("or", ("and", "a", "e"), ("xor", "b", "d"))) == (
@@ -343,6 +366,31 @@ class TestBoundedCache:
             assert truth_table(tiny, build_bdd(tiny, expr)) == truth_table(
                 roomy, build_bdd(roomy, expr)
             )
+
+    def test_overflow_empties_every_table_and_counts_each_op(self):
+        m = fresh_manager(cache_size=8)
+        a, b, c, d = (m.var(name) for name in "abcd")
+        # The bare recursions skip the bound check, so the tables can
+        # be filled past the bound, every op's included, before the
+        # next public operation notices.
+        f = m._xor(m._and(a, b), m._or(c, d))
+        m._not(f)
+        m._ite(a, f, c)
+        m._restrict(f, m.level_of("c"), True)
+        cache = m._cache
+        before = {name: 0 for name in OP_NAMES}
+        for name, table in zip(("and", "or", "xor", "not"), cache.tables):
+            before[name] = len(table)
+        for key in cache.other:
+            before[OP_NAMES[key[0]]] += 1
+        used = ("and", "or", "xor", "not", "ite", "restrict")
+        assert all(before[name] for name in used)
+        assert sum(before.values()) == len(cache) > 8
+        evictions = {op.op: op.evictions for op in m.stats().op_stats}
+        assert m.apply_and(f, TRUE) == f  # a terminal case: no new entry
+        assert all(len(table) == 0 for table in cache.tables)
+        for op in m.stats().op_stats:
+            assert op.evictions - evictions[op.op] == before[op.op], op.op
 
     def test_clear_preserves_counters_but_drops_entries(self):
         m = fresh_manager()
@@ -391,6 +439,65 @@ class TestManagerStats:
         m.restrict(build_bdd(m, ("xor", "a", "b")), "a", True)
         by_name = {op.op: op for op in m.stats().op_stats}
         assert by_name["restrict"].lookups > 0
+
+
+# ----------------------------------------------------------------------
+# Packed table keys
+# ----------------------------------------------------------------------
+node_ids = st.integers(min_value=0, max_value=NODE_LIMIT - 1)
+
+
+class TestPackedKeys:
+    @given(
+        first=st.tuples(node_ids, node_ids), second=st.tuples(node_ids, node_ids)
+    )
+    def test_packing_is_injective_below_the_limit(self, first, second):
+        assert (pack(*first) == pack(*second)) == (first == second)
+
+    @given(hi=node_ids, lo=node_ids)
+    def test_packing_round_trips(self, hi, lo):
+        key = pack(hi, lo)
+        assert (key >> KEY_BITS, key & (NODE_LIMIT - 1)) == (hi, lo)
+
+    @settings(max_examples=40, deadline=None)
+    @given(exprs=st.lists(boolexprs(), min_size=1, max_size=4), sift=st.booleans())
+    def test_unique_tables_hold_exactly_the_live_nodes(self, exprs, sift):
+        m = fresh_manager()
+        kept = [Function(m, build_bdd(m, e)) for e in exprs[::2]]
+        for expr in exprs[1::2]:
+            build_bdd(m, expr)  # garbage
+        m.gc()
+        if sift:
+            m.sift()
+        live = {
+            u: (m.level(u), pack(m.low(u), m.high(u)))
+            for u in range(2, m.num_nodes)
+            if m._level[u] != -1
+        }
+        assert len(live) == m.num_live_nodes - 2
+        assert sum(map(len, m._unique)) == len(live)
+        for u, (lv, key) in live.items():
+            assert m._unique[lv][key] == u
+        del kept
+
+    def test_new_slots_past_the_limit_raise(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "NODE_LIMIT", 5)
+        m = fresh_manager()
+        a, b = m.var("a"), m.var("b")  # slots 2 and 3
+        ab = m.apply_and(a, b)  # slot 4, the last one below the limit
+        with pytest.raises(BDDError, match="below 5"):
+            m.var("c")  # find-or-create
+        with pytest.raises(BDDError, match="below 5"):
+            m.apply_or(a, b)  # the node creation inlined in the recursion
+        # Hits and reused slots are never limited.
+        assert m.var("b") == b and m.apply_and(a, b) == ab
+        kept = Function(m, a)
+        assert m.gc() == 2
+        a_or_c = m.apply_or(a, m.var("c"))
+        assert m.num_nodes == 5
+        assert m.evaluate(a_or_c, dict.fromkeys(BOOLEXPR_NAMES, False)) is False
+        assert m.evaluate(a_or_c, {**dict.fromkeys(BOOLEXPR_NAMES, False), "c": True})
+        del kept
 
 
 if __name__ == "__main__":  # pragma: no cover
