@@ -49,7 +49,7 @@ def main() -> None:
         ))
 
     # Distance-weighted sampling (what the paper does for C432+).
-    candidates = list(enumerate_nfbfs(circuit, BridgeKind.AND))
+    candidates = enumerate_nfbfs(circuit, BridgeKind.AND)
     sample = sample_bridging_faults(circuit, candidates, 50, seed=0)
     mean_distance = sum(s.distance for s in sample) / len(sample)
     print(f"\nsampled {len(sample)} of {len(candidates)} AND bridges "

@@ -472,13 +472,13 @@ def _campaign(
             faults: Sequence[Fault] = collapsed_checkpoint_faults(circuit)
             limit = scale.stuck_at_limit(name)
         else:
-            faults = list(enumerate_nfbfs(circuit, kind))
+            faults = enumerate_nfbfs(circuit, kind)
             limit = scale.bridging_target(name)
         sample = None
         if routing == "sampled":
             from repro.sampling.strata import stratified_sample
 
-            sample = stratified_sample(circuit, faults, limit, seed=seed)
+            sample = stratified_sample(circuit, list(faults), limit, seed=seed)
             faults = sample.faults
         elif limit is not None and limit < len(faults):
             if kind is None:
@@ -487,6 +487,8 @@ def _campaign(
             else:
                 drawn = sample_bridging_faults(circuit, faults, limit, seed)
                 faults = [s.fault for s in drawn]
+        elif kind is not None:
+            faults = list(faults)  # no limit: every candidate is analyzed
         result = _dispatch(
             circuit, name, scale, faults, kind is not None, workers, routing
         )

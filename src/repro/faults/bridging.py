@@ -13,6 +13,10 @@ Following the paper (§2.2):
   the AND bridge between two inputs of the same AND gate (absorption
   makes every sink gate's output unchanged).
 
+:func:`enumerate_nfbfs` applies both screens a row of per-net bitmasks
+at a time; :func:`is_feedback_pair` and :func:`is_trivially_undetectable`
+state the same rules pair by pair.
+
 The faulty behaviour is purely logical: both bridged wires assume
 ``u OP v`` where ``OP`` is AND or OR of the two fault-free values —
 valid because the bridge is non-feedback, so neither wire's fault-free
@@ -23,8 +27,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
@@ -108,65 +113,94 @@ def is_trivially_undetectable(
     return True
 
 
+class NfbfCandidates(Sequence[BridgingFault]):
+    """The bridges :func:`enumerate_nfbfs` kept, as two index columns.
+
+    Row *r* bridges ``nets[first[r]]`` and ``nets[second[r]]``; its
+    :class:`BridgingFault` is built only when the row is read, so a
+    sampler that draws *k* of the rows builds *k* fault objects.
+    """
+
+    def __init__(
+        self, nets: tuple[str, ...], kind: BridgeKind, first: array, second: array
+    ) -> None:
+        self.nets, self.kind, self.first, self.second = nets, kind, first, second
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return [self[r] for r in range(len(self))[row]]
+        nets = self.nets
+        return BridgingFault(nets[self.first[row]], nets[self.second[row]], self.kind)
+
+    def __iter__(self) -> Iterator[BridgingFault]:
+        nets, kind = self.nets, self.kind
+        for a, b in zip(self.first, self.second):
+            yield BridgingFault(nets[a], nets[b], kind)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    bits = bin(mask)[:1:-1]
+    found, pos = [], bits.find("1")
+    while pos >= 0:
+        found.append(pos)
+        pos = bits.find("1", pos + 1)
+    return found
+
+
 def enumerate_nfbfs(
     circuit: Circuit,
     kind: BridgeKind,
     include_outputs: bool = True,
-) -> Iterator[BridgingFault]:
+) -> NfbfCandidates:
     """All potentially detectable non-feedback bridging faults.
 
-    Pairs are generated over every net (primary inputs included); the
-    feedback and trivial-undetectability screens are applied. For a
-    circuit with *m* nets this examines *m(m−1)/2* pairs — reachability
-    is precomputed as bitmasks so the screen is O(1) per pair.
+    Pairs range over every net (primary inputs included), in
+    ``circuit.nets`` order, minus the feedback and trivial-
+    undetectability screens. Both screens work on per-net bitmasks:
+    O(nets) big-int operations plus one step per bridge kept. The
+    result is a lazy :class:`NfbfCandidates` sequence.
 
     ``include_outputs=False`` drops bridges touching primary-output
     nets (useful to model output pads routed apart from core logic).
     """
-    nets = [
-        net
-        for net in circuit.nets
-        if include_outputs or not circuit.is_output(net)
-    ]
-    index = {net: i for i, net in enumerate(circuit.nets)}
-    reach = _reachability_masks(circuit, index)
-    # Precompute which nets could possibly absorb a bridge: every sink
-    # is an absorbing-type gate. Only pairs where both wires qualify
-    # need the (more expensive) common-sink check.
+    nets = circuit.nets
+    index = {net: i for i, net in enumerate(nets)}
+    # circuit.nets is topological: a net reaches only later nets, so
+    # one reverse pass completes every transitive-fanout mask
+    reach = [0] * len(nets)
+    for i in range(len(nets) - 1, -1, -1):
+        for sink, _pin in circuit.fanouts(nets[i]):
+            reach[i] |= (1 << index[sink]) | reach[index[sink]]
+    # is_trivially_undetectable's rule per net: a non-PO net whose sinks
+    # are all absorbing gates absorbs a bridge only to a net feeding
+    # every one of those sinks; a pair is absorbed iff each absorbs it
     absorbing = _ABSORBING[kind]
-    could_absorb = {
-        net: bool(circuit.fanouts(net))
-        and all(
-            circuit.gate(sink).gate_type in absorbing
-            for sink, _pin in circuit.fanouts(net)
-        )
-        for net in nets
-    }
-    for pos_a in range(len(nets)):
-        net_a = nets[pos_a]
-        bit_a = 1 << index[net_a]
-        mask_a = reach[net_a]
-        absorb_a = could_absorb[net_a]
-        for pos_b in range(pos_a + 1, len(nets)):
-            net_b = nets[pos_b]
-            if mask_a & (1 << index[net_b]) or reach[net_b] & bit_a:
-                continue  # feedback bridge
-            if (
-                absorb_a
-                and could_absorb[net_b]
-                and is_trivially_undetectable(circuit, net_a, net_b, kind)
-            ):
-                continue
-            yield BridgingFault(net_a, net_b, kind)
-
-
-def _reachability_masks(circuit: Circuit, index: dict[str, int]) -> dict[str, int]:
-    """Transitive-fanout bitmask per net (bit i = net with index i)."""
-    reach: dict[str, int] = {}
-    order = list(circuit.nets)
-    for net in reversed(order):
-        mask = 0
-        for sink, _pin in circuit.fanouts(net):
-            mask |= (1 << index[sink]) | reach[sink]
-        reach[net] = mask
-    return reach
+    partners: dict[int, int] = {}
+    for i, net in enumerate(nets):
+        sinks = [circuit.gate(sink) for sink, _pin in circuit.fanouts(net)]
+        if sinks and not circuit.is_output(net) and all(
+            gate.gate_type in absorbing for gate in sinks
+        ):
+            partners[i] = -1
+            for gate in sinks:
+                partners[i] &= sum({1 << index[fanin] for fanin in gate.fanins})
+    keep = sum(
+        1 << i
+        for i, net in enumerate(nets)
+        if include_outputs or not circuit.is_output(net)
+    )
+    first, second = array("l"), array("l")
+    for i in range(len(nets)):
+        if keep >> i & 1:
+            row = keep & ~reach[i] & -(2 << i)  # -(2 << i): bits above i
+            for j in _set_bits(partners.get(i, 0) & row):
+                if partners.get(j, 0) >> i & 1:
+                    row &= ~(1 << j)
+            found = _set_bits(row)
+            first.extend([i] * len(found))
+            second.extend(found)
+    return NfbfCandidates(nets, kind, first, second)

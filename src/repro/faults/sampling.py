@@ -28,6 +28,7 @@ distance *z* is kept with probability
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import Sequence
 
 from repro.circuit.layout import cached_coordinates, wire_distance
 from repro.circuit.netlist import Circuit
-from repro.faults.bridging import BridgingFault
+from repro.faults.bridging import BridgingFault, NfbfCandidates
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,19 @@ def normalized_distances(
     Coordinates come from the per-circuit memo
     (:func:`~repro.circuit.layout.cached_coordinates`): repeat
     invocations over the same circuit — one per dominance × scale ×
-    stratum in a campaign — no longer re-run the estimator.
+    stratum in a campaign — no longer re-run the estimator. An
+    :class:`NfbfCandidates` is read by index, building no fault.
     """
     coords = cached_coordinates(circuit)
-    raw = [wire_distance(coords, f.net_a, f.net_b) for f in candidates]
+    if isinstance(candidates, NfbfCandidates):
+        xs = [coords[net][0] for net in candidates.nets]
+        ys = [coords[net][1] for net in candidates.nets]
+        raw = [
+            math.hypot(xs[a] - xs[b], ys[a] - ys[b])
+            for a, b in zip(candidates.first, candidates.second)
+        ]
+    else:
+        raw = [wire_distance(coords, f.net_a, f.net_b) for f in candidates]
     largest = max(raw, default=0.0)
     if largest == 0.0:
         return [0.0] * len(raw)
@@ -149,23 +159,19 @@ def sample_bridging_faults(
     degenerates when thousands of candidate pairs share identical
     estimated coordinates (regular circuits produce exactly that).
 
-    Deterministic for a given ``seed``. If the candidate set is not
-    larger than the target, everything is returned (with distances).
+    Deterministic for a given ``seed``; only drawn rows are read. If the
+    candidate set is not larger than the target, all of it is returned.
     """
     distances = normalized_distances(circuit, candidates)
     if len(candidates) <= target_size:
         return [SampledFault(f, z) for f, z in zip(candidates, distances)]
     rng = random.Random(seed)
-    keyed = []
-    for fault, z in zip(candidates, distances):
+    keys = []
+    for z in distances:
         weight = math.exp(-z / theta)
         u = rng.random()
         # key = u ** (1/weight); compare by log to dodge underflow
-        if weight > 0.0 and u > 0.0:
-            key = math.log(u) / weight
-        else:
-            key = float("-inf")
-        keyed.append((key, fault, z))
-    keyed.sort(key=lambda item: item[0], reverse=True)
-    top = keyed[:target_size]
-    return [SampledFault(fault, z) for _key, fault, z in top]
+        keys.append(math.log(u) / weight if weight > 0.0 and u > 0.0 else -math.inf)
+    # nlargest is sorted(reverse=True)[:k]: ties keep candidate order
+    top = heapq.nlargest(target_size, range(len(keys)), key=keys.__getitem__)
+    return [SampledFault(candidates[i], distances[i]) for i in top]

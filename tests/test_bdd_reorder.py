@@ -330,13 +330,15 @@ class TestCampaignReorderTelemetry:
         yield
         clear_campaign_caches()
 
-    def test_campaign_records_reorder_telemetry(self):
+    def test_campaign_records_reorder_telemetry(self, monkeypatch):
         from repro.experiments.campaigns import (
             clear_campaign_caches,
             stuck_at_campaign,
         )
         from repro.experiments.config import Scale
 
+        # the unsifted baseline must not inherit REPRO_REORDER=1
+        monkeypatch.delenv("REPRO_REORDER", raising=False)
         baseline = stuck_at_campaign(
             "c17", Scale(name="reorder-unit-off", circuits=("c17",))
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from repro.benchcircuits import get_circuit
 from repro.circuit.builder import CircuitBuilder
 from repro.faults.bridging import (
     BridgeKind,
@@ -13,6 +14,7 @@ from repro.faults.bridging import (
     is_feedback_pair,
     is_trivially_undetectable,
 )
+from repro.faults.sampling import sample_bridging_faults
 from repro.simulation.truthtable import TruthTableSimulator
 
 from tests.strategies import circuits
@@ -107,6 +109,37 @@ class TestEnumeration:
             and not tiny_circuit.is_output(f.net_b)
             for f in without
         )
+
+    @pytest.mark.parametrize(
+        "name, and_count, or_count",
+        [
+            ("c95", 1722, 1719),
+            ("alu181", 2454, 2433),
+            ("c432", 31726, 31676),
+            ("c499", 70684, 70780),
+            ("c1355", 250003, 250244),
+            ("c1908", 125200, 125358),
+        ],
+    )
+    def test_pinned_candidate_counts(self, name, and_count, or_count):
+        circuit = get_circuit(name)
+        assert len(enumerate_nfbfs(circuit, BridgeKind.AND)) == and_count
+        assert len(enumerate_nfbfs(circuit, BridgeKind.OR)) == or_count
+
+    def test_drawing_builds_only_the_drawn_faults(self, monkeypatch):
+        circuit = get_circuit("c1355")
+        built = []
+        post_init = BridgingFault.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BridgingFault, "__post_init__", counting)
+        candidates = enumerate_nfbfs(circuit, BridgeKind.AND)
+        drawn = sample_bridging_faults(circuit, candidates, 1, seed=0)
+        assert len(drawn) == 1
+        assert len(built) <= 3
 
 
 @settings(max_examples=20, deadline=None)
