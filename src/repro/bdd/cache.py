@@ -5,15 +5,17 @@ long fault campaigns. It is split by operation, in the layout of
 Brace, Rudell & Bryant ("Efficient Implementation of a BDD Package",
 DAC 1990): AND, OR and XOR each own a dict keyed by the packed node
 pair ``f << 32 | g`` (operands ordered ``f <= g``), NOT owns a dict
-keyed by ``f``, and the rarely used ITE, quantifier, compose and
-restrict recursions share one dict of tagged tuple keys. A packed int
-key is a 32-byte object and hashes faster than the 64-byte tuple it
-replaces. The manager's unique table uses the same packing, one dict
-per variable level keyed by ``low << 32 | high``; :func:`pack` is the
-packing, spelled out inline on the hot paths. Every node id must
-therefore stay below :data:`NODE_LIMIT`.
+keyed by ``f``, the fused AND- and OR-difference recursions each own
+a dict keyed by the packed quadruple ``((f_A << 32 | f_B) << 32 |
+Δf_A) << 32 | Δf_B`` (input pairs ordered), and the rarely used ITE,
+quantifier, compose and restrict recursions share one dict of tagged
+tuple keys. A packed pair key is a 32-byte object and hashes faster
+than the 64-byte tuple it replaces. The manager's unique table uses
+the same packing, one dict per variable level keyed by ``low << 32 |
+high``; :func:`pack` is the packing, spelled out inline on the hot
+paths. Every node id must therefore stay below :data:`NODE_LIMIT`.
 
-:class:`OperationCache` bounds the five tables together: once their
+:class:`OperationCache` bounds the seven tables together: once their
 total size passes ``bound`` every table is emptied with ``clear()``,
 which hands the memory back at once, and the dropped entries are
 counted as that op's evictions. Every lookup/store is attributed to
@@ -57,8 +59,10 @@ OP_EXISTS = 5
 OP_FORALL = 6
 OP_COMPOSE = 7
 OP_RESTRICT = 8
+OP_AND_DIFF = 9
+OP_OR_DIFF = 10
 
-NUM_OPS = 9
+NUM_OPS = 11
 
 OP_NAMES: tuple[str, ...] = (
     "and",
@@ -70,6 +74,8 @@ OP_NAMES: tuple[str, ...] = (
     "forall",
     "compose",
     "restrict",
+    "and_diff",
+    "or_diff",
 )
 
 #: Bit width of one packed operand: a node id must fit below it.
@@ -89,11 +95,10 @@ def pack(hi: int, lo: int) -> int:
     return hi << KEY_BITS | lo
 
 
-#: Default computed-table bound, in entries summed over all five tables.
-#: About 90 MB when full: at its first overflow on the c1908 benchmark
-#: fault the tables held 1.05M entries in 87 MB of dicts and keys (83 B
-#: an entry; results are node ids the unique table already holds). The
-#: tuple-keyed single table this layout replaced held 167 MB there.
+#: Default computed-table bound, in entries summed over all seven tables.
+#: About 90 MB when full of pair keys: 1.05M AND/OR/XOR/NOT entries
+#: took 87 MB of dicts and keys (83 B an entry; results are node ids the
+#: unique table already holds), where one tuple-keyed table took 167 MB.
 DEFAULT_CACHE_SIZE = 1 << 20
 
 
@@ -145,8 +150,9 @@ class ManagerStats:
 class OperationCache:
     """Size-bounded computed tables with per-op counters.
 
-    :attr:`and_`, :attr:`or_`, :attr:`xor` and :attr:`not_` are the
-    packed-key tables of the four apply recursions; :attr:`other` holds
+    :attr:`and_`, :attr:`or_`, :attr:`xor`, :attr:`not_`,
+    :attr:`and_diff` and :attr:`or_diff` are the packed-key tables of
+    the six apply recursions; :attr:`other` holds
     the tagged tuple keys of ITE, exists, forall, compose and restrict.
     The manager's hot apply loops bind these dicts and :attr:`hits` /
     :attr:`misses` directly — a method call per lookup would roughly
@@ -156,7 +162,7 @@ class OperationCache:
     """
 
     __slots__ = (
-        "and_", "or_", "xor", "not_", "other",
+        "and_", "or_", "xor", "not_", "and_diff", "or_diff", "other",
         "bound", "hits", "misses", "evictions", "invalidated",
     )
 
@@ -167,6 +173,8 @@ class OperationCache:
         self.or_: dict[int, int] = {}
         self.xor: dict[int, int] = {}
         self.not_: dict[int, int] = {}
+        self.and_diff: dict[int, int] = {}
+        self.or_diff: dict[int, int] = {}
         self.other: dict[tuple, int] = {}
         self.bound = bound
         self.hits: list[int] = [0] * NUM_OPS
@@ -177,13 +185,18 @@ class OperationCache:
 
     @property
     def tables(self) -> tuple[dict, ...]:
-        """The five tables: AND, OR, XOR, NOT, then the shared one."""
-        return self.and_, self.or_, self.xor, self.not_, self.other
+        """The seven tables: AND, OR, XOR, NOT, AND- and OR-difference,
+        then the shared one."""
+        return (
+            self.and_, self.or_, self.xor, self.not_,
+            self.and_diff, self.or_diff, self.other,
+        )
 
     def __len__(self) -> int:
         return (
             len(self.and_) + len(self.or_) + len(self.xor)
-            + len(self.not_) + len(self.other)
+            + len(self.not_) + len(self.and_diff) + len(self.or_diff)
+            + len(self.other)
         )
 
     def maybe_evict(self) -> int:
@@ -199,12 +212,14 @@ class OperationCache:
         """
         total = (
             len(self.and_) + len(self.or_) + len(self.xor)
-            + len(self.not_) + len(self.other)
+            + len(self.not_) + len(self.and_diff) + len(self.or_diff)
+            + len(self.other)
         )
         if total <= self.bound:
             return 0
         evictions = self.evictions
-        for op, table in zip((OP_AND, OP_OR, OP_XOR, OP_NOT), self.tables):
+        packed = (OP_AND, OP_OR, OP_XOR, OP_NOT, OP_AND_DIFF, OP_OR_DIFF)
+        for op, table in zip(packed, self.tables):
             evictions[op] += len(table)
         for key in self.other:
             evictions[key[0]] += 1

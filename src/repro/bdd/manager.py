@@ -27,8 +27,9 @@ implicitly: raw integer handles stay valid until somebody explicitly
 calls :meth:`gc`, which is why the engine only collects between fault
 analyses.
 
-The NOT/AND/OR/XOR recursions are closures over the node arrays and
-tables, built once per manager; GC, sifting and cache eviction mutate
+The NOT/AND/OR/XOR recursions, and the fused AND/OR-difference
+recursions of Difference Propagation, are closures over the node arrays
+and tables, built once per manager; GC, sifting and cache eviction mutate
 those tables in place so the closures never need rebinding.
 
 The computed table itself is a size-bounded
@@ -58,12 +59,14 @@ from repro.obs import resource as _resource
 from repro.obs.trace import span as _span
 from repro.bdd.cache import (
     OP_AND as _OP_AND,
+    OP_AND_DIFF as _OP_AND_DIFF,
     OP_COMPOSE as _OP_COMPOSE,
     OP_EXISTS as _OP_EXISTS,
     OP_FORALL as _OP_FORALL,
     OP_ITE as _OP_ITE,
     OP_NOT as _OP_NOT,
     OP_OR as _OP_OR,
+    OP_OR_DIFF as _OP_OR_DIFF,
     OP_RESTRICT as _OP_RESTRICT,
     OP_XOR as _OP_XOR,
 )
@@ -176,7 +179,10 @@ class BDDManager:
         self._last_reorder: ReorderStats | None = None
         # Bound once: GC, sifting and eviction mutate these tables in
         # place, never replace them, so the closures stay valid.
-        self._mk, self._not, self._and, self._or, self._xor = _apply_closures(
+        (
+            self._mk, self._not, self._and, self._or, self._xor,
+            self._and_diff, self._or_diff,
+        ) = _apply_closures(
             self._level, self._low, self._high, self._unique, self._free,
             self._cache,
         )
@@ -806,6 +812,24 @@ class BDDManager:
         self._cache.maybe_evict()
         return result
 
+    def apply_and_difference(self, fa: int, fb: int, da: int, db: int) -> int:
+        """Δ at the output of a 2-input AND, in one apply (Table 1).
+
+        ``fa``/``fb`` are the good input functions and ``da``/``db``
+        their differences; the result is ``(fa ∧ fb) ⊕ ((fa ⊕ da) ∧
+        (fb ⊕ db))``.
+        """
+        result = self._and_diff(fa, fb, da, db)
+        self._cache.maybe_evict()
+        return result
+
+    def apply_or_difference(self, fa: int, fb: int, da: int, db: int) -> int:
+        """Δ at the output of a 2-input OR: ``(fa ∨ fb) ⊕ ((fa ⊕ da) ∨
+        (fb ⊕ db))``, in one apply (Table 1)."""
+        result = self._or_diff(fa, fb, da, db)
+        self._cache.maybe_evict()
+        return result
+
     def apply_nand(self, f: int, g: int) -> int:
         return self.apply_not(self.apply_and(f, g))
 
@@ -1091,19 +1115,27 @@ def _apply_closures(
     free: list[int],
     cache: OperationCache,
 ) -> tuple[Callable[..., int], ...]:
-    """Find-or-create and the NOT/AND/OR/XOR recursions over one store.
+    """Find-or-create and the apply recursions over one store.
 
-    Returns ``(mk, not_, and_, or_, xor_)``. Difference Propagation
-    spends nearly all its time in these, so they read the node arrays
-    and tables from closure cells rather than through ``self`` — that
-    roughly halves the cost of the recursion. They close over the
-    tables only, never the manager, so a manager is freed as soon as
+    Returns ``(mk, not_, and_, or_, xor_, and_diff, or_diff)``.
+    Difference Propagation spends nearly all its time in these, so they
+    read the node arrays and tables from closure cells rather than
+    through ``self`` — that roughly halves the cost of the recursion.
+    They close over the tables only, never the manager, so a manager is freed as soon as
     its last reference goes (no manager <-> closure cycle). The binary
     recursions share one body, each bound to its op's computed table;
     each op's terminal cases stay inline, picked by flags fixed when
     the closure is made. Table keys pack two node ids into one int
     (:func:`repro.bdd.cache.pack`, spelled out inline), so a new slot
     past :data:`~repro.bdd.cache.NODE_LIMIT` raises :class:`BDDError`.
+
+    ``and_diff(fa, fb, da, db)`` is the Table 1 AND identity
+    ``fa·db ⊕ fb·da ⊕ da·db`` as one descent over all four operands,
+    ``ITE(da, ITE(db, ¬(fa⊕fb), fb), ITE(db, fa, 0))``, so none of the
+    three products or two sums is built as a BDD of its own. Once a
+    difference is constant the rest drops into the AND/XOR/NOT
+    recursions. ``or_diff`` is the same body over complemented goods
+    (``f̄a ⊕ f̄b = fa ⊕ fb``), each bound to its own computed table.
     """
     hits, misses = cache.hits, cache.misses
     not_table = cache.not_
@@ -1221,12 +1253,72 @@ def _apply_closures(
 
         return rec
 
+    and_ = binary(_OP_AND, cache.and_)
+    xor = binary(_OP_XOR, cache.xor)
+
+    def difference(op: int, data: dict[int, int]) -> Callable[..., int]:
+        # the OR row is the AND row over complemented goods; the flag
+        # complements them only where a terminal case reads one
+        is_or = op == _OP_OR_DIFF
+
+        def rec(fa: int, fb: int, da: int, db: int) -> int:
+            if da == FALSE:
+                return and_(not_(fa) if is_or else fa, db)
+            if db == FALSE:
+                return and_(not_(fb) if is_or else fb, da)
+            if da == TRUE:
+                if db == TRUE:
+                    return not_(xor(fa, fb))
+                gb, na = (not_(fb), fa) if is_or else (fb, not_(fa))
+                return xor(gb, and_(db, na))
+            if db == TRUE:
+                ga, nb = (not_(fa), fb) if is_or else (fa, not_(fb))
+                return xor(ga, and_(da, nb))
+            # symmetric in its two inputs: canonicalize the cache key
+            if fa > fb or (fa == fb and da > db):
+                fa, fb, da, db = fb, fa, db, da
+            key = ((fa << 32 | fb) << 32 | da) << 32 | db
+            result = data.get(key)
+            if result is not None:
+                hits[op] += 1
+                return result
+            misses[op] += 1
+            lfa, lfb, lda, ldb = level[fa], level[fb], level[da], level[db]
+            top = lfa if lfa < lfb else lfb
+            if lda < top:
+                top = lda
+            if ldb < top:
+                top = ldb
+            if lfa == top:
+                fa0, fa1 = low[fa], high[fa]
+            else:
+                fa0 = fa1 = fa
+            if lfb == top:
+                fb0, fb1 = low[fb], high[fb]
+            else:
+                fb0 = fb1 = fb
+            if lda == top:
+                da0, da1 = low[da], high[da]
+            else:
+                da0 = da1 = da
+            if ldb == top:
+                db0, db1 = low[db], high[db]
+            else:
+                db0 = db1 = db
+            result = mk(top, rec(fa0, fb0, da0, db0), rec(fa1, fb1, da1, db1))
+            data[key] = result
+            return result
+
+        return rec
+
     return (
         mk,
         not_,
-        binary(_OP_AND, cache.and_),
+        and_,
         binary(_OP_OR, cache.or_),
-        binary(_OP_XOR, cache.xor),
+        xor,
+        difference(_OP_AND_DIFF, cache.and_diff),
+        difference(_OP_OR_DIFF, cache.or_diff),
     )
 
 

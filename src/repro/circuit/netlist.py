@@ -262,9 +262,12 @@ class Circuit:
         """
         if not self._outputs:
             raise CircuitError(f"circuit {self.name!r} declares no outputs")
+        # gates are in topological order, so one reverse sweep sees
+        # every sink of a gate before the gate itself
         live = set(self._outputs)
-        for output in self._outputs:
-            live |= self.transitive_fanin(output)
+        for gate in reversed(self._gates.values()):
+            if gate.name in live:
+                live.update(gate.fanins)
         dead = [g for g in self._gates if g not in live]
         if dead:
             raise CircuitError(

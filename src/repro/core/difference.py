@@ -21,13 +21,18 @@ XOR / XNOR     ``Δf_A ⊕ Δf_B``
 INV / BUF      ``Δf_A``
 =============  ====================================================
 
+The AND and OR rows are each one recursion over all four operands
+(:meth:`~repro.bdd.manager.BDDManager.apply_and_difference` and
+``apply_or_difference``), not three products and two sums.
+
 Gates with more fanins are folded as chains of 2-input gates — the
 paper's own remedy for the exponential term count of the general
 *n*-input identity. The fold short-circuits on zero differences
-(selective trace): a chain step whose both differences are the zero
-function contributes nothing and costs nothing, and a step with one
-zero difference reduces to its single surviving term
-(``f_B·Δf_A``, ``f̄_B·Δf_A`` and the mirror cases).
+(selective trace) inside those recursions' terminal cases: a chain
+step whose both differences are the zero function contributes nothing
+and costs nothing, and a step with one zero difference reduces to its
+single surviving term (``f_B·Δf_A``, ``f̄_B·Δf_A`` and the mirror
+cases).
 """
 
 from __future__ import annotations
@@ -48,26 +53,12 @@ TABLE1: tuple[tuple[str, str], ...] = (
 
 def and_difference(m: BDDManager, fa: int, fb: int, da: int, db: int) -> int:
     """Δ output of a 2-input AND (or NAND)."""
-    if db == FALSE:
-        return FALSE if da == FALSE else m.apply_and(fb, da)
-    if da == FALSE:
-        return m.apply_and(fa, db)
-    term1 = m.apply_and(fa, db)
-    term2 = m.apply_and(fb, da)
-    term3 = m.apply_and(da, db)
-    return m.apply_xor(m.apply_xor(term1, term2), term3)
+    return m.apply_and_difference(fa, fb, da, db)
 
 
 def or_difference(m: BDDManager, fa: int, fb: int, da: int, db: int) -> int:
     """Δ output of a 2-input OR (or NOR)."""
-    if db == FALSE:
-        return FALSE if da == FALSE else m.apply_and(m.apply_not(fb), da)
-    if da == FALSE:
-        return m.apply_and(m.apply_not(fa), db)
-    term1 = m.apply_and(m.apply_not(fa), db)
-    term2 = m.apply_and(m.apply_not(fb), da)
-    term3 = m.apply_and(da, db)
-    return m.apply_xor(m.apply_xor(term1, term2), term3)
+    return m.apply_or_difference(fa, fb, da, db)
 
 
 def xor_difference(m: BDDManager, da: int, db: int) -> int:

@@ -478,7 +478,7 @@ def _campaign(
         if routing == "sampled":
             from repro.sampling.strata import stratified_sample
 
-            sample = stratified_sample(circuit, list(faults), limit, seed=seed)
+            sample = stratified_sample(circuit, faults, limit, seed=seed)
             faults = sample.faults
         elif limit is not None and limit < len(faults):
             if kind is None:

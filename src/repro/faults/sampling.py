@@ -163,8 +163,24 @@ def sample_bridging_faults(
     candidate set is not larger than the target, all of it is returned.
     """
     distances = normalized_distances(circuit, candidates)
-    if len(candidates) <= target_size:
-        return [SampledFault(f, z) for f, z in zip(candidates, distances)]
+    return [
+        SampledFault(candidates[i], distances[i])
+        for i in weighted_rows(distances, target_size, seed, theta)
+    ]
+
+
+def weighted_rows(
+    distances: Sequence[float],
+    target_size: int,
+    seed: int = 0,
+    theta: float = 0.25,
+) -> list[int]:
+    """The rows :func:`sample_bridging_faults` draws, best key first.
+
+    Every row, in order, when there are no more than ``target_size``.
+    """
+    if len(distances) <= target_size:
+        return list(range(len(distances)))
     rng = random.Random(seed)
     keys = []
     for z in distances:
@@ -173,5 +189,4 @@ def sample_bridging_faults(
         # key = u ** (1/weight); compare by log to dodge underflow
         keys.append(math.log(u) / weight if weight > 0.0 and u > 0.0 else -math.inf)
     # nlargest is sorted(reverse=True)[:k]: ties keep candidate order
-    top = heapq.nlargest(target_size, range(len(keys)), key=keys.__getitem__)
-    return [SampledFault(candidates[i], distances[i]) for i in top]
+    return heapq.nlargest(target_size, range(len(keys)), key=keys.__getitem__)

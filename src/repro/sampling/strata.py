@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.core.metrics import Fault
-from repro.faults.bridging import BridgingFault
+from repro.faults.bridging import BridgingFault, NfbfCandidates
 from repro.faults.stuck_at import StuckAtFault
 from repro.sampling.substreams import substream_seed
 
@@ -132,9 +132,27 @@ def stratify(
     circuit: Circuit, faults: Sequence[Fault]
 ) -> dict[str, list[Fault]]:
     """Partition ``faults`` into strata, preserving enumeration order."""
-    strata: dict[str, list[Fault]] = {}
-    for fault in faults:
-        strata.setdefault(stratum_key(circuit, fault), []).append(fault)
+    return {
+        name: [faults[row] for row in rows]
+        for name, rows in _stratum_rows(circuit, faults).items()
+    }
+
+
+def _stratum_rows(
+    circuit: Circuit, faults: Sequence[Fault]
+) -> dict[str, Sequence[int]]:
+    """The row indices of each stratum, ascending.
+
+    A lazy :class:`NfbfCandidates` holds one dominance kind, so it is a
+    single stratum named from its first row, and no other fault is built.
+    """
+    if isinstance(faults, NfbfCandidates):
+        if not faults:
+            return {}
+        return {stratum_key(circuit, faults[0]): range(len(faults))}
+    strata: dict[str, list[int]] = {}
+    for row, fault in enumerate(faults):
+        strata.setdefault(stratum_key(circuit, fault), []).append(row)
     return strata
 
 
@@ -150,49 +168,53 @@ def stratified_sample(
     stratum order), so downstream sharding sees the same topological
     locality a full campaign would. Deterministic in ``(circuit name,
     faults, target, seed)`` and invariant to how the result is later
-    sharded or merged.
+    sharded or merged. Strata are drawn as row indices, so only the
+    sampled faults of a lazy :class:`NfbfCandidates` are ever built.
     """
     import random
 
-    from repro.faults.sampling import sample_bridging_faults
+    from repro.faults.sampling import normalized_distances, weighted_rows
 
-    strata = stratify(circuit, faults)
-    populations = {name: len(members) for name, members in strata.items()}
+    strata = _stratum_rows(circuit, faults)
+    populations = {name: len(rows) for name, rows in strata.items()}
     if target is None or target >= len(faults):
         allocation = dict(populations)
     else:
         allocation = allocate_proportional(populations, target)
-    selected: set[Fault] = set()
+    label_of: dict[int, str] = {}
     plan: list[StratumStat] = []
     for name in sorted(strata):
-        members = strata[name]
+        rows = strata[name]
         quota = allocation[name]
-        if quota >= len(members):
-            chosen: list[Fault] = list(members)
+        stratum_seed = substream_seed(seed, "stratum", circuit.name, name)
+        if quota >= len(rows):
+            chosen: Sequence[int] = rows
         elif name.startswith("bridge-"):
-            stratum_seed = substream_seed(seed, "stratum", circuit.name, name)
+            # a stratum that is the whole candidate set is read in place
+            members = (
+                faults
+                if len(rows) == len(faults)
+                else [faults[row] for row in rows]
+            )
+            distances = normalized_distances(circuit, members)
             chosen = [
-                s.fault
-                for s in sample_bridging_faults(
-                    circuit, members, quota, seed=stratum_seed
-                )
+                rows[i]
+                for i in weighted_rows(distances, quota, seed=stratum_seed)
             ]
         else:
-            rng = random.Random(
-                substream_seed(seed, "stratum", circuit.name, name)
-            )
-            chosen = rng.sample(members, quota)
-        selected.update(chosen)
+            chosen = random.Random(stratum_seed).sample(rows, quota)
+        label_of.update(dict.fromkeys(chosen, name))
         plan.append(
             StratumStat(
                 name=name,
-                population=len(members),
+                population=len(rows),
                 allocated=quota,
                 sampled=len(chosen),
             )
         )
-    ordered = tuple(fault for fault in faults if fault in selected)
-    labels = tuple(stratum_key(circuit, fault) for fault in ordered)
+    ordered = sorted(label_of)
     return StratifiedSample(
-        faults=ordered, labels=labels, plan=tuple(plan)
+        faults=tuple(faults[row] for row in ordered),
+        labels=tuple(label_of[row] for row in ordered),
+        plan=tuple(plan),
     )

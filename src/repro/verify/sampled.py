@@ -449,7 +449,7 @@ def calibration_fault_sets(
     ]
     bridges: list[Fault] = []
     for kind in (BridgeKind.AND, BridgeKind.OR):
-        candidates = list(enumerate_nfbfs(circuit, kind))
+        candidates = enumerate_nfbfs(circuit, kind)
         if not candidates:
             continue
         bridges.extend(

@@ -302,6 +302,21 @@ class TestManagerLifetime:
         finally:
             cyclic_gc.enable()
 
+    def test_manager_with_a_populated_fused_table_dies_on_del(self):
+        cyclic_gc.disable()
+        try:
+            m = fresh_manager()
+            exprs = (("or", "a", "b"), ("xor", "b", "c"), "d", ("and", "d", "e"))
+            quad = [build_bdd(m, expr) for expr in exprs]
+            m.apply_and_difference(*quad)
+            m.apply_or_difference(*quad)
+            assert m._cache.and_diff and m._cache.or_diff
+            manager_ref = weakref.ref(m)
+            del m
+            assert manager_ref() is None
+        finally:
+            cyclic_gc.enable()
+
     def test_tables_keep_their_identity_across_gc_and_sift(self):
         m = fresh_manager()
 
@@ -315,7 +330,7 @@ class TestManagerLifetime:
             )
 
         before = tables()
-        assert len(before) == 1 + len(BOOLEXPR_NAMES) + 5
+        assert len(before) == 1 + len(BOOLEXPR_NAMES) + 7
         kept = Function(m, build_bdd(m, ("or", ("and", "a", "e"), ("xor", "b", "d"))))
         table = truth_table(m, kept.node)
         build_bdd(m, ("and", ("or", "c", "d"), ("not", "e")))  # garbage
@@ -377,13 +392,16 @@ class TestBoundedCache:
         m._not(f)
         m._ite(a, f, c)
         m._restrict(f, m.level_of("c"), True)
+        m._and_diff(a, f, b, c)
+        m._or_diff(a, f, b, c)
         cache = m._cache
         before = {name: 0 for name in OP_NAMES}
-        for name, table in zip(("and", "or", "xor", "not"), cache.tables):
+        packed = ("and", "or", "xor", "not", "and_diff", "or_diff")
+        for name, table in zip(packed, cache.tables):
             before[name] = len(table)
         for key in cache.other:
             before[OP_NAMES[key[0]]] += 1
-        used = ("and", "or", "xor", "not", "ite", "restrict")
+        used = (*packed, "ite", "restrict")
         assert all(before[name] for name in used)
         assert sum(before.values()) == len(cache) > 8
         evictions = {op.op: op.evictions for op in m.stats().op_stats}
@@ -391,6 +409,29 @@ class TestBoundedCache:
         assert all(len(table) == 0 for table in cache.tables)
         for op in m.stats().op_stats:
             assert op.evictions - evictions[op.op] == before[op.op], op.op
+
+    @pytest.mark.parametrize(
+        "method, op",
+        [("apply_and_difference", "and_diff"), ("apply_or_difference", "or_diff")],
+    )
+    def test_fused_difference_overflows_and_counts_its_evictions(self, method, op):
+        tiny = fresh_manager(cache_size=16)
+        roomy = fresh_manager()
+
+        def fused_table(m: BDDManager, quad) -> tuple[bool, ...]:
+            operands = [build_bdd(m, expr) for expr in quad]
+            return truth_table(m, getattr(m, method)(*operands))
+
+        for a, b, c, d in itertools.permutations(BOOLEXPR_NAMES, 4):
+            quad = (("xor", a, b), ("or", b, c), ("and", c, d), ("xor", d, a))
+            assert fused_table(tiny, quad) == fused_table(roomy, quad)
+            assert len(tiny._cache) <= 16
+        fused = {stat.op: stat for stat in tiny.stats().op_stats}[op]
+        assert fused.misses > 0 and fused.evictions > 0
+        assert fused.evictions <= fused.misses
+        roomy_fused = {stat.op: stat for stat in roomy.stats().op_stats}[op]
+        assert roomy_fused.evictions == 0
+        assert len(getattr(roomy._cache, op)) == roomy_fused.misses
 
     def test_clear_preserves_counters_but_drops_entries(self):
         m = fresh_manager()

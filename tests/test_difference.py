@@ -239,3 +239,77 @@ def test_fold_equals_the_literal_expansion(gate_type, fanins):
         else _literal_fold(m, gate_type.base, goods, deltas)
     )
     assert gate_output_difference(m, gate_type, goods, deltas) == expected
+
+
+#: the constant functions, spelled as :func:`boolexprs` trees, so the
+#: fused op's terminal cases are drawn as often as its recursion
+_ZERO = ("xor", "a", "a")
+_ONE = ("not", _ZERO)
+_operands = st.one_of(st.sampled_from((_ZERO, _ONE)), boolexprs())
+
+
+def _literal_rows(m, fa, fb, da, db):
+    """Table 1's AND and OR rows, three products and two sums each."""
+    return tuple(
+        _literal_fold(m, base, [fa, fb], [da, db])
+        for base in (GateType.AND, GateType.OR)
+    )
+
+
+class TestFusedDifferences:
+    """``apply_and_difference``/``apply_or_difference`` against the
+    literal Table 1 rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(operands=st.tuples(_operands, _operands, _operands, _operands))
+    @example(operands=("a", "b", _ONE, _ONE))
+    @example(operands=("a", "b", _ONE, "c"))
+    @example(operands=("a", "b", "c", _ONE))
+    @example(operands=("a", "a", "b", "b"))
+    def test_both_polarities_equal_the_literal_rows(self, operands):
+        m = BDDManager(BOOLEXPR_NAMES)
+        fa, fb, da, db = (build_bdd(m, expr) for expr in operands)
+        and_row, or_row = _literal_rows(m, fa, fb, da, db)
+        assert m.apply_and_difference(fa, fb, da, db) == and_row
+        assert m.apply_and_difference(fb, fa, db, da) == and_row
+        assert and_difference(m, fa, fb, da, db) == and_row
+        assert m.apply_or_difference(fa, fb, da, db) == or_row
+        assert m.apply_or_difference(fb, fa, db, da) == or_row
+        assert or_difference(m, fa, fb, da, db) == or_row
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        quads=st.lists(
+            st.tuples(_operands, _operands, _operands, _operands),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    def test_gc_and_sift_between_calls_leave_no_stale_entry(self, quads):
+        # Each call fills the fused tables; dropping its operands and
+        # sweeping frees slots the next quadruple reuses, so a stale
+        # entry keyed on an old id would alias onto a new node.
+        m = BDDManager(BOOLEXPR_NAMES)
+        for step, quad in enumerate(quads):
+            fa, fb, da, db = (build_bdd(m, expr) for expr in quad)
+            for node in (fa, fb, da, db):
+                m.incref(node)
+            fused = (
+                m.apply_and_difference(fa, fb, da, db),
+                m.apply_or_difference(fa, fb, da, db),
+            )
+            for node in fused:
+                m.incref(node)
+            if step % 2:
+                m.sift()
+            else:
+                m.gc()
+            assert fused == (
+                m.apply_and_difference(fa, fb, da, db),
+                m.apply_or_difference(fa, fb, da, db),
+            )
+            assert fused == _literal_rows(m, fa, fb, da, db)
+            for node in (fa, fb, da, db, *fused):
+                m.decref(node)
+            if m.gc():
+                assert not m._cache.and_diff and not m._cache.or_diff

@@ -11,9 +11,14 @@ rebuild. The slow-marked test is the full C432 acceptance criterion.
 
 from __future__ import annotations
 
+import functools
+import random
+
 import pytest
 
+from repro.bdd.manager import BDDManager
 from repro.benchcircuits import get_circuit
+from repro.core import symbolic
 from repro.core.engine import DifferencePropagation
 from repro.experiments import campaigns, parallel
 from repro.experiments.config import get_scale
@@ -60,6 +65,30 @@ def test_gc_engine_matches_no_gc_engine(name):
     assert gc_engine.gc_runs > 0, "threshold never tripped — test is vacuous"
     assert gc_engine.rebuilds == 0
     assert ref_engine.gc_runs == 0
+
+
+def test_computed_table_overflow_changes_no_result(monkeypatch):
+    """A c432 campaign whose computed table empties over and over (both
+    fused difference tables included) matches one that never does."""
+    circuit = get_circuit("c432")
+    faults = random.Random(0).sample(collapsed_checkpoint_faults(circuit), 40)
+
+    def run():
+        engine = DifferencePropagation(circuit)
+        analyses = [engine.analyze(f) for f in faults]
+        results = [(a.detectability, a.observable_pos) for a in analyses]
+        return results, engine.manager_stats()
+
+    roomy, roomy_stats = run()
+    monkeypatch.setattr(
+        symbolic, "BDDManager", functools.partial(BDDManager, cache_size=2048)
+    )
+    tiny, tiny_stats = run()
+    assert tiny == roomy
+    assert roomy_stats.cache_evictions == 0
+    evictions = {op.op: op.evictions for op in tiny_stats.op_stats}
+    # the bound must trip on both fused tables, or the test is vacuous
+    assert evictions["and_diff"] > 0 and evictions["or_diff"] > 0
 
 
 def test_gc_engine_matches_truth_table_oracle():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchcircuits.registry import CIRCUIT_NAMES, get_circuit
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, CircuitError, Gate
 
@@ -154,6 +155,47 @@ class TestValidateAndEvaluate:
         c.add_output("alive")
         with pytest.raises(CircuitError):
             c.validate()
+
+    def test_dead_gate_error_names_every_dead_gate(self):
+        c = Circuit("dead_chain")
+        c.add_input("a")
+        c.add_gate("alive", GateType.NOT, ["a"])
+        c.add_gate("d1", GateType.NOT, ["alive"])
+        c.add_gate("d2", GateType.AND, ["d1", "a"])
+        c.add_output("alive")
+        with pytest.raises(CircuitError) as err:
+            c.validate()
+        assert str(err.value) == (
+            "circuit 'dead_chain' has dead gates feeding no output: ['d1', 'd2']"
+        )
+
+    @pytest.mark.parametrize("name", CIRCUIT_NAMES)
+    def test_dead_gates_are_those_outside_the_per_output_fanin(self, name):
+        full = get_circuit(name)
+        full.validate()
+        # keep only the first half of the outputs: the gates feeding
+        # none of them are dead
+        kept = full.outputs[: max(1, len(full.outputs) // 2)]
+        pruned = Circuit(f"{name}_pruned")
+        for net in full.inputs:
+            pruned.add_input(net)
+        for gate in full.gates():
+            pruned.add_gate(gate.name, gate.gate_type, gate.fanins)
+        for net in kept:
+            pruned.add_output(net)
+        live = set(kept)
+        for output in kept:
+            live |= full.transitive_fanin(output)
+        dead = sorted(g.name for g in full.gates() if g.name not in live)
+        if not dead:
+            pruned.validate()
+            return
+        with pytest.raises(CircuitError) as err:
+            pruned.validate()
+        assert str(err.value) == (
+            f"circuit '{name}_pruned' has dead gates feeding no output: "
+            f"{dead[:10]}"
+        )
 
     def test_evaluate(self, tiny_circuit):
         out = tiny_circuit.evaluate_outputs({"a": True, "b": True, "c": True})

@@ -142,6 +142,39 @@ class TestStratifiedSample:
         assert set(sample.labels) == {"bridge-and"}
 
 
+class TestLazyBridgeStratum:
+    """A lazy NFBF candidate set draws by row, as the listed one does."""
+
+    @pytest.mark.parametrize("name", ["c17", "fulladder", "c95", "alu181", "c432"])
+    @pytest.mark.parametrize("kind", list(BridgeKind))
+    def test_same_sample_as_the_listed_candidates(self, name, kind):
+        circuit = get_circuit(name)
+        candidates = enumerate_nfbfs(circuit, kind)
+        listed = list(candidates)
+        for target in (None, 0, 1, 37, len(listed) - 1, len(listed)):
+            for seed in (0, 1):
+                assert stratified_sample(
+                    circuit, candidates, target, seed=seed
+                ) == stratified_sample(circuit, listed, target, seed=seed)
+
+    def test_builds_only_the_drawn_bridges(self, monkeypatch):
+        circuit = get_circuit("c95")
+        candidates = enumerate_nfbfs(circuit, BridgeKind.OR)
+        built = []
+        original = type(candidates).__getitem__
+
+        def counting_getitem(self, row):
+            built.append(row)
+            return original(self, row)
+
+        monkeypatch.setattr(type(candidates), "__iter__", None)
+        monkeypatch.setattr(type(candidates), "__getitem__", counting_getitem)
+        sample = stratified_sample(circuit, candidates, 12, seed=0)
+        assert len(sample.faults) == 12
+        # one row names the stratum, the rest are the draw
+        assert len(built) == 13
+
+
 class TestSubstreams:
     def test_pinned_value(self):
         """The derivation is part of the reproducibility contract: any
