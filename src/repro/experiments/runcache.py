@@ -26,18 +26,24 @@ all are result-neutral (``tests/test_parallel_campaigns.py``, the
 reorder oracles), so a serial run can serve a later ``--workers 8`` run
 and vice versa.
 
-Detectabilities are exact :class:`~fractions.Fraction`\\ s; they round
-trip through the ledger as ``"p/q"`` strings, so a decoded campaign is
-**equal** to the computed one — byte-identical rendered figures — not
-merely close. Execution telemetry (``chunk_stats``, resource series)
-is intentionally *not* stored: a served result did no work, and its
-``sim.*`` / ``bdd.*`` counters must say so.
+The body is columnar: one list per fault field (``net``/``sink``/
+``pin``/``value`` for stuck-at faults, ``net_a``/``net_b`` and a single
+``kind`` for bridging faults), one per result field, and ``null`` for an
+optional field no record sets. Detectabilities are exact
+:class:`~fractions.Fraction`\\ s; they round trip as ``"p/q"`` strings,
+so a decoded campaign is **equal** to the computed one — byte-identical
+rendered figures — not merely close. Execution telemetry
+(``chunk_stats``, resource series) is intentionally *not* stored: a
+served result did no work, and its ``sim.*`` / ``bdd.*`` counters must
+say so.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from itertools import repeat
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro import knobs
 from repro.benchcircuits import get_circuit
@@ -49,7 +55,7 @@ from repro.obs import store as _store
 from repro.obs.logging import get_logger
 
 #: Schema of the stored campaign body (the ledger object's ``body``).
-BODY_SCHEMA = "repro.campaign-result/1"
+BODY_SCHEMA = "repro.campaign-result/2"
 
 #: Schema tag inside every run-key projection, so a future projection
 #: change (new knob, new model) can never collide with old keys.
@@ -133,126 +139,118 @@ def bridging_projection(
 # ----------------------------------------------------------------------
 # Codec
 # ----------------------------------------------------------------------
-def _encode_fault(fault: Any) -> dict[str, Any]:
-    if isinstance(fault, StuckAtFault):
+#: The last FaultResult fields, in field order: each is stored as a
+#: column, or as ``null`` when no record sets it (exact campaigns).
+OPTIONAL_COLUMNS = (
+    "stuck_at_equivalent", "ci_low", "ci_high", "patterns_spent", "stratum"
+)
+
+
+def _encode_faults(faults: Sequence[Any]) -> dict[str, Any]:
+    """One campaign's faults as the columns of their (single) model.
+
+    An empty campaign encodes as empty stuck-at columns.
+    """
+    if all(isinstance(fault, StuckAtFault) for fault in faults):
         return {
             "model": "stuck-at",
-            "net": fault.line.net,
-            "sink": fault.line.sink,
-            "pin": fault.line.pin,
-            "value": fault.value,
+            "net": [fault.line.net for fault in faults],
+            "sink": [fault.line.sink for fault in faults],
+            "pin": [fault.line.pin for fault in faults],
+            "value": [fault.value for fault in faults],
         }
-    if isinstance(fault, BridgingFault):
-        return {
-            "model": "bridging",
-            "nets": [fault.net_a, fault.net_b],
-            "kind": fault.kind.value,
-        }
-    raise TypeError(f"no ledger codec for fault type {type(fault).__name__}")
+    for fault in faults:
+        if not isinstance(fault, BridgingFault):
+            raise TypeError(
+                f"no ledger codec for fault type {type(fault).__name__}"
+            )
+    (kind,) = {fault.kind for fault in faults}  # one kind per campaign
+    return {
+        "model": "bridging",
+        "net_a": [fault.net_a for fault in faults],
+        "net_b": [fault.net_b for fault in faults],
+        "kind": kind.value,
+    }
 
 
-def _decode_fault(data: Mapping[str, Any]) -> Any:
-    model = data.get("model")
+def _decode_faults(columns: Mapping[str, Any]) -> Iterator[Any]:
+    model = columns.get("model")
     if model == "stuck-at":
-        return StuckAtFault(
-            line=Line(data["net"], data["sink"], data["pin"]),
-            value=bool(data["value"]),
-        )
+        lines = map(Line, columns["net"], columns["sink"], columns["pin"])
+        return map(StuckAtFault, lines, map(bool, columns["value"]))
     if model == "bridging":
-        net_a, net_b = data["nets"]
-        return BridgingFault(net_a, net_b, BridgeKind(data["kind"]))
+        kind = BridgeKind(columns["kind"])
+        return map(BridgingFault, columns["net_a"], columns["net_b"], repeat(kind))
     raise ValueError(f"unknown fault model {model!r} in ledger body")
 
 
-def _encode_fraction(value: Fraction) -> str:
-    return str(value)
-
-
-def _decode_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _encode_record(record: Any) -> dict[str, Any]:
-    return {
-        "fault": _encode_fault(record.fault),
-        "detectability": _encode_fraction(record.detectability),
-        "upper_bound": _encode_fraction(record.upper_bound),
-        "observable_pos": sorted(record.observable_pos),
-        "stuck_at_equivalent": record.stuck_at_equivalent,
-        "ci_low": record.ci_low,
-        "ci_high": record.ci_high,
-        "patterns_spent": record.patterns_spent,
-        "stratum": record.stratum,
-    }
-
-
-def _decode_record(data: Mapping[str, Any]) -> Any:
-    from repro.experiments.campaigns import FaultResult
-
-    return FaultResult(
-        fault=_decode_fault(data["fault"]),
-        detectability=_decode_fraction(data["detectability"]),
-        upper_bound=_decode_fraction(data["upper_bound"]),
-        observable_pos=frozenset(data["observable_pos"]),
-        stuck_at_equivalent=data.get("stuck_at_equivalent"),
-        ci_low=data.get("ci_low"),
-        ci_high=data.get("ci_high"),
-        patterns_spent=data.get("patterns_spent"),
-        stratum=data.get("stratum"),
-    )
-
-
 def encode_result(name: str, result: Any) -> dict[str, Any]:
-    """A finished campaign as an exact, ledger-storable JSON body."""
-    return {
+    """A finished campaign as an exact, ledger-storable columnar body."""
+    records = result.results
+    body: dict[str, Any] = {
         "schema": BODY_SCHEMA,
         "circuit": name,
         "exact": result.exact,
-        "results": [_encode_record(record) for record in result.results],
-        "strata": [
-            {
-                "name": stratum.name,
-                "population": stratum.population,
-                "allocated": stratum.allocated,
-                "sampled": stratum.sampled,
-            }
-            for stratum in result.strata
-        ],
+        "faults": _encode_faults([record.fault for record in records]),
+        "detectability": [str(record.detectability) for record in records],
+        "upper_bound": [str(record.upper_bound) for record in records],
+        "observable_pos": [sorted(record.observable_pos) for record in records],
+        "strata": [dataclasses.asdict(stratum) for stratum in result.strata],
     }
+    for field in OPTIONAL_COLUMNS:
+        column = [getattr(record, field) for record in records]
+        body[field] = (
+            None if all(value is None for value in column) else column
+        )
+    return body
 
 
 def decode_result(body: Mapping[str, Any]) -> Any:
     """Rebuild a :class:`CampaignResult` equal to the one encoded.
+
+    One pass over the zipped columns. Each distinct ``"p/q"`` string
+    and observable-PO list is decoded once, into dicts that live only
+    for this call, and its (immutable) value is shared by the records.
 
     The rebuilt result carries ``from_cache=True`` and **empty**
     execution telemetry — zero chunks, zero ``sim.*``/``bdd.*``
     counters — which is the truthful accounting of a run that did no
     fault simulation.
     """
-    from repro.experiments.campaigns import CampaignResult
+    from repro.experiments.campaigns import CampaignResult, FaultResult
 
     if body.get("schema") != BODY_SCHEMA:
         raise ValueError(
             f"unexpected campaign body schema {body.get('schema')!r}"
         )
+    detectability, bounds = body["detectability"], body["upper_bound"]
+    observable = body["observable_pos"]
+    fractions = {text: Fraction(text) for text in {*detectability, *bounds}}
+    po_sets = {pos: frozenset(pos) for pos in set(map(tuple, observable))}
+    optional = [
+        body[field] or [None] * len(detectability) for field in OPTIONAL_COLUMNS
+    ]
+    results = [
+        FaultResult(
+            fault, fractions[det], fractions[bound], po_sets[tuple(pos)], *rest
+        )
+        for fault, det, bound, pos, *rest in zip(
+            _decode_faults(body["faults"]),
+            detectability,
+            bounds,
+            observable,
+            *optional,
+            strict=True,
+        )
+    ]
     strata: tuple = ()
-    if body.get("strata"):
+    if body["strata"]:
         from repro.sampling.strata import StratumStat
 
-        strata = tuple(
-            StratumStat(
-                name=stratum["name"],
-                population=stratum["population"],
-                allocated=stratum["allocated"],
-                sampled=stratum["sampled"],
-            )
-            for stratum in body["strata"]
-        )
+        strata = tuple(StratumStat(**stratum) for stratum in body["strata"])
     return CampaignResult(
         circuit=get_circuit(body["circuit"]),
-        results=tuple(
-            _decode_record(record) for record in body["results"]
-        ),
+        results=tuple(results),
         exact=bool(body["exact"]),
         strata=strata,
         from_cache=True,

@@ -12,8 +12,9 @@ lists, and anything unrecognized falls back to ``str``.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 #: Recursion guard: artifacts are shallow; anything deeper is a cycle
 #: or an accident, and gets stringified rather than chased.
@@ -22,7 +23,20 @@ _MAX_DEPTH = 12
 
 def json_safe(value: Any, _depth: int = 0) -> Any:
     """Reduce ``value`` to something ``json.dumps`` accepts losslessly."""
-    if value is None or isinstance(value, (bool, int, str)):
+    # Exact built-in types first: they are almost every value, and the
+    # dataclass/ABC checks below cost far more than an identity test.
+    cls = type(value)
+    if cls is str or cls is int or cls is bool or value is None:
+        return value
+    if cls is dict:
+        if _depth >= _MAX_DEPTH:
+            return str(value)
+        return {str(k): json_safe(v, _depth + 1) for k, v in value.items()}
+    if cls is list or cls is tuple:
+        if _depth >= _MAX_DEPTH:
+            return str(value)
+        return [json_safe(v, _depth + 1) for v in value]
+    if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         # json.dumps rejects NaN/inf under allow_nan=False; stringify.

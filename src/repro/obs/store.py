@@ -10,13 +10,18 @@ construction, so their results can be *served* instead of recomputed.
 The ledger is a plain directory (default ``results/ledger/``)::
 
     ledger/
-      objects/<run_key>.json     one stored result document per key
+      objects/<run_key>.json     one header line, then the body bytes
       index.jsonl                append-only log: one line per put
 
-* **Objects are integrity-checked.** Every object embeds the SHA-256
-  of its canonical body; :meth:`RunLedger.get` re-hashes on every read
-  and treats a mismatch as a *miss* (logged, counted) — a bit-flipped
-  object is recomputed, never silently served.
+* **Objects are integrity-checked over their stored bytes.** An object
+  is one JSON header line ``{"key", "schema", "sha256"}`` followed by
+  the body's JSON bytes, and ``sha256`` is the digest of exactly those
+  bytes. :meth:`RunLedger.get` and :meth:`RunLedger.verify` share one
+  reader: it hashes the body bytes it read, requires the header line to
+  be byte-for-byte the one that key, schema and digest produce, and
+  only then parses the body, once. Any flipped byte — header or body —
+  is a *miss* (logged, counted): a corrupt object is recomputed, never
+  silently served. Objects of an older schema are misses too.
 * **The index is append-only and crash-tolerant.** Each ``put``
   appends exactly one line with a single ``O_APPEND`` write, so
   concurrent writers from different processes interleave whole lines,
@@ -47,7 +52,7 @@ from typing import Any, Iterator, Mapping
 from repro.obs.encode import json_safe
 from repro.obs.logging import get_logger
 
-OBJECT_SCHEMA = "repro.ledger-object/1"
+OBJECT_SCHEMA = "repro.ledger-object/2"
 INDEX_SCHEMA = "repro.ledger-index/1"
 
 #: Default ledger location, relative to the working directory (the same
@@ -119,9 +124,12 @@ def run_key(projection: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_json(projection).encode("utf-8")).hexdigest()
 
 
-def body_digest(body: Mapping[str, Any]) -> str:
-    """Integrity hash stored inside (and re-checked against) an object."""
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+def _header(key: str, digest: str) -> bytes:
+    """The first line of the object stored under ``key`` whose body
+    bytes hash to ``digest`` (without its newline)."""
+    return json.dumps(
+        {"key": key, "schema": OBJECT_SCHEMA, "sha256": digest}
+    ).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -165,28 +173,24 @@ class RunLedger:
     ) -> Path:
         """Store ``body`` under ``key`` and append one index line.
 
-        The object lands atomically (tmp file + rename) so a concurrent
-        reader never sees a half-written document; the index line lands
-        with a single ``O_APPEND`` write so concurrent writers never
-        interleave. Re-putting an existing key overwrites the object
+        The body is reduced by :func:`~repro.obs.encode.json_safe` and
+        encoded once (keys sorted); the object is its header line plus
+        those bytes. The object lands atomically (tmp file + rename) so a
+        concurrent reader never sees a half-written document; the index
+        line lands with a single ``O_APPEND`` write so concurrent writers
+        never interleave. Re-putting an existing key overwrites the object
         (same key ⇒ same content by the run-key contract) and appends a
         fresh index line — the index is a log, not a set.
         """
-        body = json_safe(body)
-        digest = body_digest(body)
-        document = {
-            "schema": OBJECT_SCHEMA,
-            "key": key,
-            "sha256": digest,
-            "body": body,
-        }
+        data = (
+            json.dumps(json_safe(body), sort_keys=True, separators=(", ", ": "))
+            + "\n"
+        ).encode("utf-8")
+        digest = hashlib.sha256(data).hexdigest()
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         path = self.object_path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        tmp.write_bytes(_header(key, digest) + b"\n" + data)
         os.replace(tmp, path)
         entry = {
             "schema": INDEX_SCHEMA,
@@ -210,48 +214,51 @@ class RunLedger:
         return path
 
     # -- reading --------------------------------------------------------
+    def _read(self, key: str) -> tuple[str, dict[str, Any] | None]:
+        """``("ok", body)``, ``("missing", None)`` or ``("corrupt", None)``.
+
+        The one reader behind :meth:`get` and :meth:`verify`: one hash
+        over the body bytes on disk, one byte comparison of the header
+        line (schema, key and digest at once), then one parse.
+        """
+        try:
+            raw = self.object_path(key).read_bytes()
+        except OSError:
+            return "missing", None
+        head, newline, data = raw.partition(b"\n")
+        if not newline or head != _header(key, hashlib.sha256(data).hexdigest()):
+            return "corrupt", None
+        try:
+            body = json.loads(data)
+        except ValueError:
+            body = None
+        if not isinstance(body, dict):
+            return "corrupt", None
+        return "ok", body
+
     def get(self, key: str) -> dict[str, Any] | None:
         """The stored body for ``key``, or ``None`` on miss/corruption.
 
-        Integrity is re-checked on **every** read: an unparseable
-        object, a schema/key mismatch, or a body whose hash no longer
-        matches the recorded digest all count as misses (and bump the
-        corruption counter where applicable) — the caller recomputes,
-        the ledger never serves silently wrong data.
+        Integrity is re-checked on **every** read: a missing object is
+        a miss; a header that is not exactly this key's, an older
+        schema, a body whose bytes no longer hash to the recorded digest
+        or an unparseable body is a miss that also bumps the corruption
+        counter — the caller recomputes, the ledger never serves
+        silently wrong data.
         """
-        path = self.object_path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
+        status, body = self._read(key)
+        if body is None:
             self._misses += 1
-            return None
-        try:
-            document = json.loads(raw)
-        except ValueError:
-            self._corrupt += 1
-            self._misses += 1
-            log.warning("ledger object %s is unparseable; treating as miss", path)
-            return None
-        if not self._object_ok(key, document):
-            self._corrupt += 1
-            self._misses += 1
-            log.warning(
-                "ledger object %s failed its integrity re-check; "
-                "treating as miss",
-                path,
-            )
+            if status == "corrupt":
+                self._corrupt += 1
+                log.warning(
+                    "ledger object %s failed its integrity check; "
+                    "treating as miss",
+                    self.object_path(key),
+                )
             return None
         self._hits += 1
-        return document["body"]
-
-    @staticmethod
-    def _object_ok(key: str, document: Mapping[str, Any]) -> bool:
-        return (
-            document.get("schema") == OBJECT_SCHEMA
-            and document.get("key") == key
-            and isinstance(document.get("body"), dict)
-            and body_digest(document["body"]) == document.get("sha256")
-        )
+        return body
 
     def entries(self) -> list[dict[str, Any]]:
         """Every well-formed index line, oldest first.
@@ -301,27 +308,13 @@ class RunLedger:
 
     # -- maintenance ----------------------------------------------------
     def verify(self) -> list[tuple[str, str]]:
-        """Re-hash every indexed object; return ``(key, status)`` pairs.
+        """Re-check every indexed object; return ``(key, status)`` pairs.
 
         Status is ``"ok"``, ``"missing"`` (object deleted, e.g. by
-        :meth:`gc`), or ``"corrupt"`` (unparseable or hash mismatch —
-        a bit flip anywhere in the body changes the digest).
+        :meth:`gc`), or ``"corrupt"`` (any flipped byte, an older
+        schema, or an unparseable body) — the same reader as :meth:`get`.
         """
-        findings: list[tuple[str, str]] = []
-        for key in self.keys():
-            path = self.object_path(key)
-            if not path.exists():
-                findings.append((key, "missing"))
-                continue
-            try:
-                document = json.loads(path.read_text(encoding="utf-8"))
-            except ValueError:
-                findings.append((key, "corrupt"))
-                continue
-            findings.append(
-                (key, "ok" if self._object_ok(key, document) else "corrupt")
-            )
-        return findings
+        return [(key, self._read(key)[0]) for key in self.keys()]
 
     def gc(self, keep: int) -> list[str]:
         """Drop all but the ``keep`` most recently recorded keys.

@@ -169,6 +169,94 @@ def test_round_trip_equal_debug_helper(cached_scale):
 
 
 # ----------------------------------------------------------------------
+# The columnar codec, through the stored bytes
+# ----------------------------------------------------------------------
+def _through_ledger(tmp_path, name, result):
+    """Encode, store, re-read and decode; returns (decoded, stored body)."""
+    ledger = store.RunLedger(tmp_path / "codec")
+    key = store.run_key({"codec": name, "n": len(result.results)})
+    ledger.put(key, runcache.encode_result(name, result))
+    body = ledger.get(key)
+    assert body is not None
+    return runcache.decode_result(body), body
+
+
+def _assert_served_equal(decoded, computed):
+    assert decoded.from_cache is True
+    assert decoded == computed
+    assert decoded.results == computed.results
+    assert decoded.strata == computed.strata
+    assert decoded.circuit.name == computed.circuit.name
+
+
+def test_codec_round_trips_exact_stuck_at(tmp_path):
+    scale = dataclasses.replace(get_scale("ci"), cache=False)
+    computed = stuck_at_campaign("c17", scale)
+    decoded, body = _through_ledger(tmp_path, "c17", computed)
+    _assert_served_equal(decoded, computed)
+    assert computed.exact and body["exact"] is True
+    assert body["faults"]["model"] == "stuck-at"
+    assert len(body["faults"]["net"]) == len(computed.results)
+    for column in runcache.OPTIONAL_COLUMNS:
+        assert body[column] is None, column  # exact: no optional field set
+
+
+def test_codec_round_trips_bridging_with_stuck_at_equivalence(tmp_path):
+    scale = dataclasses.replace(get_scale("ci"), cache=False, engine="dp")
+    computed = bridging_campaign("c17", BridgeKind.OR, scale)
+    assert all(r.stuck_at_equivalent is not None for r in computed.results)
+    decoded, body = _through_ledger(tmp_path, "c17", computed)
+    _assert_served_equal(decoded, computed)
+    assert body["faults"]["model"] == "bridging"
+    assert body["faults"]["kind"] == "OR"
+    assert body["stuck_at_equivalent"] == [
+        r.stuck_at_equivalent for r in computed.results
+    ]
+
+
+def test_codec_round_trips_sampled_ci_columns_and_strata(tmp_path):
+    scale = dataclasses.replace(get_scale("ci"), cache=False)
+    computed = stuck_at_campaign("c17", scale, mode="sampled")
+    assert computed.strata and not computed.exact
+    decoded, body = _through_ledger(tmp_path, "c17", computed)
+    _assert_served_equal(decoded, computed)
+    for column in ("ci_low", "ci_high", "patterns_spent", "stratum"):
+        assert body[column] == [getattr(r, column) for r in computed.results]
+    assert body["stuck_at_equivalent"] is None
+
+
+def test_codec_round_trips_empty_campaign(tmp_path):
+    from repro.benchcircuits import get_circuit
+    from repro.experiments.campaigns import CampaignResult
+
+    computed = CampaignResult(
+        circuit=get_circuit("c17"), results=(), exact=True
+    )
+    decoded, body = _through_ledger(tmp_path, "c17", computed)
+    _assert_served_equal(decoded, computed)
+    assert decoded.results == ()
+
+
+def test_record_skips_unsupported_fault_type_with_warning(
+    cached_scale, monkeypatch
+):
+    computed = stuck_at_campaign("c17", dataclasses.replace(cached_scale, cache=False))
+    odd = dataclasses.replace(
+        computed,
+        results=(dataclasses.replace(computed.results[0], fault=object()),),
+    )
+    warnings = []
+    monkeypatch.setattr(
+        runcache.log, "warning", lambda msg, *args: warnings.append(msg % args)
+    )
+    projection = runcache.stuck_at_projection("c17", cached_scale, "dp")
+    assert runcache.record(projection, odd) is None
+    assert len(warnings) == 1
+    assert "could not record" in warnings[0] and "TypeError" in warnings[0]
+    assert runcache.ledger().keys() == []
+
+
+# ----------------------------------------------------------------------
 # Switches
 # ----------------------------------------------------------------------
 def test_cache_off_touches_no_ledger(tmp_path, monkeypatch):

@@ -5,17 +5,19 @@ just claim:
 
 * **concurrent writers stay consistent** — two processes putting into
   the same ledger interleave whole index lines, never fragments;
-* **corruption is detected, never served** — a single bit flip in a
-  stored object makes ``verify`` flag it and ``get`` treat it as a
-  miss (the caller recomputes);
+* **corruption is detected, never served** — a flipped byte anywhere
+  in a stored object, header line or body, makes ``verify`` flag it
+  and ``get`` treat it as a miss (the caller recomputes);
 * **a miss after ``gc`` degrades to recompute** — eviction is an
   ordinary miss, not an error.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
+import random
 import sys
 
 import pytest
@@ -156,15 +158,82 @@ def test_get_never_serves_corrupted_body(ledger):
     key = store.run_key({"n": 5})
     ledger.put(key, _body(5))
     path = ledger.object_path(key)
-    document = json.loads(path.read_text())
-    document["body"]["value"] = 6  # tamper without updating the digest
-    path.write_text(json.dumps(document))
+    header, body = path.read_text().split("\n", 1)
+    tampered = json.loads(body)
+    tampered["value"] = 6  # tamper without updating the digest
+    path.write_text(header + "\n" + json.dumps(tampered))
     assert ledger.get(key) is None  # miss → caller recomputes
     stats = ledger.stats()
     assert stats.corrupt == 1 and stats.misses == 1
     # recompute-and-reput heals it
     ledger.put(key, _body(5))
     assert ledger.get(key) == _body(5)
+
+
+def _flip_positions(raw: bytes) -> list[int]:
+    """Every byte of the header line and its newline, plus the body's
+    first and last bytes and a seeded sample of the rest."""
+    newline = raw.index(b"\n")
+    body = random.Random(0).sample(range(newline + 2, len(raw) - 1), 24)
+    return [*range(newline + 1), newline + 1, *sorted(body), len(raw) - 1]
+
+
+@pytest.mark.parametrize("mask", [0x01, 0x29, 0x80])
+def test_any_flipped_byte_is_a_miss(ledger, mask):
+    """Header or body, a flip is caught — even one that leaves valid
+    JSON (a digit changed, a space turned into a tab by ``0x29``)."""
+    key = store.run_key({"n": 3})
+    ledger.put(key, _body(3))
+    path = ledger.object_path(key)
+    pristine = path.read_bytes()
+    positions = _flip_positions(pristine)
+    for position in positions:
+        raw = bytearray(pristine)
+        raw[position] ^= mask
+        path.write_bytes(bytes(raw))
+        assert ledger.get(key) is None, position
+        assert dict(ledger.verify()) == {key: "corrupt"}, position
+    stats = ledger.stats()
+    assert stats.hits == 0
+    assert stats.misses == stats.corrupt == len(positions)
+    path.write_bytes(pristine)
+    assert ledger.get(key) == _body(3)
+
+
+def test_object_layout_is_header_line_then_hashed_body(ledger):
+    key = store.run_key({"n": 4})
+    ledger.put(key, _body(4))
+    header, body = ledger.object_path(key).read_bytes().split(b"\n", 1)
+    assert json.loads(header) == {
+        "key": key,
+        "schema": store.OBJECT_SCHEMA,
+        "sha256": hashlib.sha256(body).hexdigest(),
+    }
+    assert json.loads(body) == _body(4)
+    [entry] = ledger.entries()
+    assert entry["sha256"] == hashlib.sha256(body).hexdigest()
+
+
+def test_schema_1_object_is_a_miss(ledger):
+    """Objects of the one-document ``/1`` layout are never served."""
+    key = store.run_key({"n": 8})
+    ledger.put(key, _body(8))
+    body = _body(8)
+    legacy = {
+        "schema": "repro.ledger-object/1",
+        "key": key,
+        "sha256": hashlib.sha256(
+            store.canonical_json(body).encode("utf-8")
+        ).hexdigest(),
+        "body": body,
+    }
+    ledger.object_path(key).write_text(
+        json.dumps(legacy, indent=2, sort_keys=True) + "\n"
+    )
+    assert ledger.get(key) is None
+    stats = ledger.stats()
+    assert stats.misses == 1 and stats.hits == 0
+    assert dict(ledger.verify()) == {key: "corrupt"}
 
 
 def test_unparseable_object_is_a_miss(ledger):
